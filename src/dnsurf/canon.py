@@ -18,7 +18,7 @@ from . import kernels
 from .dnum import DNum, EPS_CLS
 from .errors import ChartModelError, DegeneratePointError, QuadratureError
 from .geom import SurfacePatch
-from .holo import Box, RealFn1
+from .holo import Box, RealFn1, sample
 
 #: Quadrature node ladder: start here, double until converged.
 _MIN_NODES = 1025
@@ -30,12 +30,16 @@ QUAD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Map1D:
-    """A strictly increasing 1-D map with inverse and two derivatives."""
+    """A strictly increasing 1-D map with inverse and two derivatives.
 
-    fwd: Callable[[float], float]
-    inv: Callable[[float], float]
-    dfwd: Callable[[float], float]
-    d2fwd: Callable[[float], float]
+    Each of fwd, inv, dfwd and d2fwd takes a float or an array and returns
+    a float or an array of the same shape.
+    """
+
+    fwd: Callable
+    inv: Callable
+    dfwd: Callable
+    d2fwd: Callable
     lo: float
     hi: float
     nodes: int
@@ -56,8 +60,8 @@ class Map1D:
         return cls(
             fwd=lambda x: k * x + c,
             inv=lambda s: (s - c) / k,
-            dfwd=lambda x: k,
-            d2fwd=lambda x: 0.0,
+            dfwd=lambda x: sample(lambda _: k, x),
+            d2fwd=lambda x: sample(lambda _: 0.0, x),
             lo=lo, hi=hi, nodes=2, deriv_min=k,
         )
 
@@ -72,9 +76,7 @@ class Map1D:
         prev_total = None
         while True:
             xs = np.linspace(lo, hi, n)
-            ys = np.asarray(fn.f(xs), dtype=float)
-            if ys.shape != xs.shape:
-                ys = np.broadcast_to(ys, xs.shape).astype(float)
+            ys = sample(fn.f, xs)
             F = kernels.cumulative_simpson(ys, (hi - lo) / (n - 1))
             total = float(F[-1])
             if prev_total is not None and abs(total - prev_total) <= tol:
@@ -91,24 +93,27 @@ class Map1D:
         val0 = float(spline(x0))
         deriv_min = float(np.min(ys))
 
-        def fwd(x, _sp=spline, _v0=val0):
-            return float(_sp(x)) - _v0
+        def fwd(x):
+            return sample(spline, x) - val0
 
-        def inv(s, _sp=spline, _v0=val0, _xs=xs, _F=F, _f=fn.f, _lo=lo, _hi=hi):
-            target = s + _v0
-            x = float(np.interp(target, _F, _xs))
+        def inv(s):
+            # np.interp start, then 3 Newton steps clamped to [lo, hi]; a
+            # point whose integrand is not positive keeps its last iterate
+            target = np.asarray(s, dtype=float) + val0
+            x = np.interp(target, F, xs)
+            live = np.ones(x.shape, dtype=bool)
             for _ in range(3):
-                d = float(_f(x))
-                if d <= 0.0:
-                    break
-                x -= (float(_sp(x)) - target) / d
-                x = min(max(x, _lo), _hi)
-            return x
+                d = sample(fn.f, x)
+                live &= d > 0.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = (spline(x) - target) / d
+                x = np.where(live, np.clip(x - step, lo, hi), x)
+            return float(x) if x.ndim == 0 else x
 
         return cls(
             fwd=fwd, inv=inv,
-            dfwd=lambda x: float(fn.f(x)),
-            d2fwd=lambda x: float(fn.df(x)),
+            dfwd=lambda x: sample(fn.f, x),
+            d2fwd=lambda x: sample(fn.df, x),
             lo=lo, hi=hi, nodes=n, deriv_min=deriv_min,
         )
 
@@ -134,15 +139,6 @@ def map_reflect_input(m: Map1D) -> Map1D:
         dfwd=lambda x: m.dfwd(-x),
         d2fwd=lambda x: -m.d2fwd(-x),
         lo=-m.hi, hi=-m.lo, nodes=m.nodes, deriv_min=m.deriv_min,
-    )
-
-
-def map_shift_output(m: Map1D, c: float) -> Map1D:
-    return Map1D(
-        fwd=lambda x: m.fwd(x) + c,
-        inv=lambda s: m.inv(s - c),
-        dfwd=m.dfwd, d2fwd=m.d2fwd,
-        lo=m.lo, hi=m.hi, nodes=m.nodes, deriv_min=m.deriv_min,
     )
 
 
@@ -261,8 +257,7 @@ def canonize(
     P, Q = axis_squares(S)
     a = np.linspace(box.a0, box.a1, grid)
     b = np.linspace(box.b0, box.b1, grid)
-    Pv = np.broadcast_to(np.asarray(P.f(a), dtype=float), a.shape)
-    Qv = np.broadcast_to(np.asarray(Q.f(b), dtype=float), b.shape)
+    Pv, Qv = sample(P.f, a), sample(Q.f, b)
     thr = EPS_CLS * (1.0 + max(float(np.max(np.abs(Pv))), float(np.max(np.abs(Qv)))))
     if float(np.min(Pv)) <= thr:
         i = int(np.argmin(Pv))
@@ -282,22 +277,33 @@ def canonize(
     return CanonicalChart(sminus=sminus, splus=splus, base=base)
 
 
-def verify_canonical(S: SurfacePatch, chart: CanonicalChart, grid: int = 65) -> float:
-    """Max |Phi~'^2 - 1| over a grid, via the transformation factor t'(s)^4.
+#: 5-point Gauss-Legendre rule on [-1, 1]: nodes and weights.
+_GL_R1, _GL_R2 = np.sqrt(5.0 + np.array([-2.0, 2.0]) * np.sqrt(10.0 / 7.0)) / 3.0
+_GL_W1, _GL_W2 = (322.0 + np.array([13.0, -13.0]) * np.sqrt(70.0)) / 900.0
+_GL_X = np.array([-_GL_R2, -_GL_R1, 0.0, _GL_R1, _GL_R2])
+_GL_W = np.array([_GL_W2, _GL_W1, 128.0 / 225.0, _GL_W1, _GL_W2])
 
-    Phi~'^2 has null components P(a) / Sminus'(a)^4 and Q(b) / Splus'(b)^4,
-    so the residual is separable and computed per axis.
+
+def verify_canonical(S: SurfacePatch, chart: CanonicalChart, grid: int = 65) -> float:
+    """Worst relative defect of the chart on grid nodes of each axis.
+
+    Two defects per axis, on grid nodes x_i (64 sub-intervals by default):
+    the derivative against the integrand, |P(a) / Sminus'(a)^4 - 1| (and
+    Q, Splus on the b axis), and the map against its derivative,
+    |fwd(x_i+1) - fwd(x_i) - I_i| / I_i, with I_i a 5-point Gauss-Legendre
+    integral of dfwd over [x_i, x_i+1].  The second catches quadrature and
+    interpolation error in fwd, which the first cannot see: for a chart
+    from canonize, dfwd is the integrand itself.
     """
-    P, Q = axis_squares(S)
-    a = np.linspace(chart.sminus.lo, chart.sminus.hi, grid)
-    b = np.linspace(chart.splus.lo, chart.splus.hi, grid)
-    ra = max(
-        abs(float(P.f(x)) / chart.sminus.dfwd(x) ** 4 - 1.0) for x in a
-    )
-    rb = max(
-        abs(float(Q.f(x)) / chart.splus.dfwd(x) ** 4 - 1.0) for x in b
-    )
-    return max(ra, rb)
+    worst = 0.0
+    for sq, m in zip(axis_squares(S), (chart.sminus, chart.splus)):
+        x = np.linspace(m.lo, m.hi, grid)
+        worst = max(worst, float(np.max(np.abs(sample(sq.f, x) / m.dfwd(x) ** 4 - 1.0))))
+        half = 0.5 * np.diff(x)[:, None]
+        mid = 0.5 * (x[1:] + x[:-1])[:, None]
+        integral = half[:, 0] * (m.dfwd(mid + half * _GL_X) @ _GL_W)
+        worst = max(worst, float(np.max(np.abs(np.diff(m.fwd(x)) - integral) / integral)))
+    return worst
 
 
 def relate_charts(

@@ -8,8 +8,10 @@ Surface specs are JSON files with expression strings:
 
 Domains are stored internally in null coordinates (a, b) = (u - v, u + v);
 a {"u": [...], "v": [...]} box is converted to the enclosing null box with
-a warning on stderr.  Exit codes: 0 success, 2 validation failure, 3 parse
-failure, 4 numeric failure (quadrature / degeneracy).
+a warning on stderr.  A --grid WxH needs w, h >= 2 and at most
+MAX_GRID_POINTS = 2^22 points in all.  Exit codes: 0 success, 2 validation
+failure (a bad grid included), 3 parse failure, 4 numeric failure
+(quadrature / degeneracy).
 """
 
 from __future__ import annotations
@@ -44,7 +46,18 @@ EXIT_VALIDATION = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
-_CLASS_NAMES = {0: "degenerate", 1: "superconformal", 2: "generic"}
+#: Most points a --grid may ask for; every grid command holds several
+#: float arrays of this many points at once.
+MAX_GRID_POINTS = 1 << 22
+
+_ROW6 = ",".join(["%.17g"] * 6)
+#: One invariants CSV line per point-class code.  A degenerate point has
+#: empty nu, mu and kappa cells: %.0s consumes a value and prints nothing.
+_INVARIANTS_ROW = {
+    0: _ROW6 + ",degenerate,%.0s,%.0s,%.0s,%.17g\n",
+    1: _ROW6 + ",superconformal,%.17g,%.17g,%.17g,%.17g\n",
+    2: _ROW6 + ",generic,%.17g,%.17g,%.17g,%.17g\n",
+}
 
 
 def _fmt(x: float) -> str:
@@ -120,6 +133,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise GridError(f"bad --grid {text!r}; expected WxH") from None
     if w < 2 or h < 2:
         raise GridError(f"grid {w}x{h} too small; need at least 2x2")
+    if w * h > MAX_GRID_POINTS:
+        raise GridError(f"grid {w}x{h} too large; at most {MAX_GRID_POINTS} points")
     return w, h
 
 
@@ -128,30 +143,16 @@ def _inset_box(box: Box, margin: float) -> Box:
 
 
 def cmd_invariants(args) -> int:
-    name, _texts, S = build_surface(args.spec)
     w, h = _parse_grid(args.grid)
+    name, _texts, S = build_surface(args.spec)
     # inset so the laplacian stencil keeps its margin at every grid point
     box = _inset_box(S.domain, 2.0 * geom.H_FD)
     g = geom.grid_quantities(S, w, h, box=box)
-    cols = ["u", "v", "E", "K_proj", "K_biv", "K_lap", "class",
-            "nu", "mu", "kappa", "gauss_residual"]
-    lines = [",".join(cols)]
-    for i in range(h):
-        for k in range(w):
-            cls = int(g["class"][i, k])
-            row = [
-                _fmt(g["u"][i, k]), _fmt(g["v"][i, k]), _fmt(g["E"][i, k]),
-                _fmt(g["K_proj"][i, k]), _fmt(g["K_biv"][i, k]),
-                _fmt(g["K_lap"][i, k]), _CLASS_NAMES[cls],
-            ]
-            if cls == 0:
-                row += ["", "", ""]
-            else:
-                row += [_fmt(g["nu"][i, k]), _fmt(g["mu"][i, k]),
-                        _fmt(g["kappa"][i, k])]
-            row.append(_fmt(g["gauss_residual"][i, k]))
-            lines.append(",".join(row))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    cols = [g[c] for c in ("u", "v", "E", "K_proj", "K_biv", "K_lap",
+                           "nu", "mu", "kappa", "gauss_residual")]
+    with _open_out(args.out) as fh:
+        fh.write("u,v,E,K_proj,K_biv,K_lap,class,nu,mu,kappa,gauss_residual\n")
+        _write_grid(fh, cols, lambda i: "".join(_INVARIANTS_ROW[c] for c in g["class"][i].tolist()))
     scale = np.maximum(1e-30, np.abs(g["K_biv"]))
     rel = float(np.max(np.abs(g["K_proj"] - g["K_biv"]) / scale))
     lap = float(np.max(np.abs(g["K_lap"] - g["K_biv"])))
@@ -164,6 +165,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_canonize(args) -> int:
+    w, h = _parse_grid(args.grid)
     name, _texts, S = build_surface(args.spec)
     if args.base:
         u, v = (float(x) for x in args.base.split(","))
@@ -189,25 +191,19 @@ def cmd_canonize(args) -> int:
     _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     csv_path = args.csv_out or _derived_path(args.out, ".csv")
-    w, h = _parse_grid(args.grid)
     sb = chart.s_box
     pad_a = 0.02 * (sb.a1 - sb.a0)
     pad_b = 0.02 * (sb.b1 - sb.b0)
     sa = np.linspace(sb.a0 + pad_a, sb.a1 - pad_a, w)
     sbv = np.linspace(sb.b0 + pad_b, sb.b1 - pad_b, h)
-    cols = ["s_u", "s_v"] + [f"x{k}" for k in range(S.n)] + ["K", "nu", "mu", "kappa"]
-    lines = [",".join(cols)]
-    for y in sbv:
-        for x in sa:
-            s = DNum.from_null(float(x), float(y))
-            t = chart.inv(s)
-            pd = geom.point_data(S, t)
-            H = geom.hyperbola_at(S, s, chart)
-            row = [_fmt(s.re), _fmt(s.im)]
-            row += [_fmt(c) for c in pd.x]
-            row += [_fmt(H.K), _fmt(H.nu), _fmt(H.mu), _fmt(H.kappa)]
-            lines.append(",".join(row))
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    g = geom.canonical_grid(S, chart, sa, sbv)
+    # s = s_u + j s_v at the null point (sa, sbv), as DNum.from_null forms it
+    s_u, s_v = (sa + sbv[:, None]) / 2.0, (sbv[:, None] - sa) / 2.0
+    cols = [s_u, s_v, *g["x"], g["K"], g["nu"], g["mu"], g["kappa"]]
+    with _open_out(csv_path) as fh:
+        fh.write(",".join(["s_u", "s_v", *(f"x{k}" for k in range(S.n)),
+                           "K", "nu", "mu", "kappa"]) + "\n")
+        _write_grid(fh, cols, ",".join(["%.17g"] * len(cols)) + "\n")
     print(f"surface: {name}")
     print(f"canonical residual: {_fmt(residual)}")
     print(f"report: {args.out}")
@@ -321,39 +317,48 @@ def _conjugate_E_sum(S1, S2, box: Box) -> float:
 
 
 def cmd_mesh(args) -> int:
-    name, _texts, S = build_surface(args.spec)
     w, h = _parse_grid(args.grid)
+    name, _texts, S = build_surface(args.spec)
     idx = [int(x) for x in args.project.split(",")]
     if len(idx) != 3 or len(set(idx)) != 3 or any(i < 0 or i >= S.n for i in idx):
         raise GridError(f"--project needs 3 distinct indices below {S.n}")
     box = S.domain
-    a = np.linspace(box.a0, box.a1, w)
-    b = np.linspace(box.b0, box.b1, h)
-    lines = []
-    for y in b:
-        for x in a:
-            t = DNum.from_null(float(x), float(y))
-            psi = S.psi.eval_unchecked(t)
-            pt = [psi[i].re for i in idx]
-            lines.append("v " + " ".join(_fmt(c) for c in pt))
-    for ib in range(h - 1):
-        for ia in range(w - 1):
-            v00 = ib * w + ia + 1
-            v10 = v00 + 1
-            v01 = v00 + w
-            v11 = v01 + 1
-            lines.append(f"f {v00} {v10} {v11}")
-            lines.append(f"f {v00} {v11} {v01}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    x = geom.position_grid(S, np.linspace(box.a0, box.a1, w), np.linspace(box.b0, box.b1, h))
+    # two triangles per lattice cell, from its corner v00 (1-based, row-major)
+    v00 = np.arange(h - 1)[:, None] * w + np.arange(w - 1) + 1
+    with _open_out(args.out) as fh:
+        _write_grid(fh, [x[i] for i in idx], "v %.17g %.17g %.17g\n")
+        _write_grid(fh, [v00, v00 + 1, v00 + w + 1, v00, v00 + w + 1, v00 + w],
+                    "f %d %d %d\nf %d %d %d\n")
     print(f"surface: {name}")
     print(f"mesh: {w * h} vertices, {2 * (w - 1) * (h - 1)} triangles")
     print(f"obj: {args.out}")
     return EXIT_OK
 
 
+def _open_out(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         fh.write(text)
+
+
+def _write_grid(fh, cols, row_fmt):
+    """Write one line per grid point, streaming one grid row at a time.
+
+    cols are arrays that broadcast to one (rows, points) shape, one per
+    %-field of a line.  row_fmt is the format of one line, or a function
+    from a row index to the format of that whole row.  On the floats that
+    .tolist() returns, "%.17g" gives the same bytes as f"{x:.17g}".
+    """
+    cols = np.broadcast_arrays(*cols)
+    rows, points = cols[0].shape
+    for i in range(rows):
+        vals = np.stack([c[i] for c in cols], axis=1).ravel().tolist()
+        fmt = row_fmt(i) if callable(row_fmt) else row_fmt * points
+        fh.write(fmt % tuple(vals))
 
 
 # -- entry point ---------------------------------------------------------

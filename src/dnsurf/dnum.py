@@ -129,24 +129,6 @@ def _coerce(x) -> DNum:
     return DNum(float(x), 0.0)
 
 
-def arithmetic(a: DNum, b: DNum, kind: str) -> DNum:
-    """Dispatch form of +, -, *, / used by the expression evaluator."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def conj_modsq(a: DNum) -> tuple[DNum, float]:
-    """Return (conjugate, squared amplitude) in one call."""
-    return a.conj(), a.modsq()
-
-
 def classify(a: DNum, eps_cls: float = EPS_CLS) -> DClass:
     """Classify into null cone / positive cone / other invertible.
 

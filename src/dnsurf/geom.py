@@ -23,7 +23,7 @@ from .errors import (
     MetricDegeneracyError,
     SurfaceConditionError,
 )
-from .holo import Box, HoloCurve
+from .holo import Box, HoloCurve, sample
 from .mink import DVec, dot, normsq, wedge_normsq
 
 #: Relative tolerance for the isothermal residual |Psi'^2| on the grid.
@@ -90,33 +90,61 @@ class NormalHyperbola:
 
 # -- vectorized grid evaluation ------------------------------------------
 
-def _eval_axis(fn, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a RealFn1 on an array, broadcasting constant results."""
-    val = fn.f(xs)
-    out = np.asarray(val, dtype=float)
-    if out.shape != xs.shape:
-        out = np.broadcast_to(out, xs.shape).copy()
-    return out
-
-
 def _metric_sign(k: int) -> float:
     return -1.0 if k == 0 else 1.0
 
 
 def _null_samples(curve: HoloCurve, a: np.ndarray, b: np.ndarray):
-    """Per-component null samples: (fminus(a), fplus(b)) pairs."""
-    return [
-        (_eval_axis(c.fminus, a), _eval_axis(c.fplus, b))
-        for c in curve.components
-    ]
+    """Per-axis null samples of each component, shaped to broadcast to the
+    outer [b, a] grid: (fminus(a) as (1, na) rows, fplus(b) as (nb, 1) columns)."""
+    return (
+        [sample(c.fminus.f, a)[None, :] for c in curve.components],
+        [sample(c.fplus.f, b)[:, None] for c in curve.components],
+    )
 
 
-def _normsq_grid(samples, A_idx, B_idx) -> np.ndarray:
-    """||w||^2 on the meshgrid: sum of signs * wm(a) * wp(b)."""
-    acc = 0.0
-    for k, (wm, wp) in enumerate(samples):
-        acc = acc + _metric_sign(k) * wm[A_idx] * wp[B_idx]
-    return acc
+def _combo(xs, ys):
+    """Minkowski-signed sum of products: sum over k of sign_k * xs[k] * ys[k]."""
+    return sum(_metric_sign(k) * x * y for k, (x, y) in enumerate(zip(xs, ys)))
+
+
+def _degenerate(P, Q):
+    """Null-cone test of Phi'^2 = P q + Q qbar, with dnum.classify's threshold."""
+    thr = EPS_CLS * (1.0 + np.maximum(np.abs(P), np.abs(Q)))
+    return np.minimum(np.abs(P), np.abs(Q)) <= thr
+
+
+def _outer_core(phi_s, phip_s) -> dict:
+    """Quantities on the outer [b, a] grid of per-axis null samples.
+
+    phi_s and phip_s are _null_samples of Phi and Phi' at arbitrary a and
+    b arrays.  Point (a_i, b_j) combines the samples at a_i and b_j, so
+    nothing here is evaluated per point.  ``perp`` yields, once, the
+    (q, qbar) components of Phi'perp per component; being lazy, it holds
+    one component's pair at a time on large grids.
+    """
+    fm, fp = phi_s
+    gm, gp = phip_s
+    norm_phi = _combo(fm, fp)
+    norm_phip = _combo(gm, gp)
+    # conj(Phi) . Phi' and Phi . Phi' in null components
+    cp_p, cp_m = _combo(fp, gm), _combo(fm, gp)
+    dd_p, dd_m = _combo(fm, gm), _combo(fp, gp)
+
+    # Phi'perp; conj(Phi)_k has its null components swapped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1_p, c1_m = cp_p / norm_phi, cp_m / norm_phi  # (conjPhi.Phi')/||Phi||^2
+        c2_p, c2_m = dd_p / norm_phi, dd_m / norm_phi  # (Phi.Phi')/||Phi||^2
+    perp = (
+        (qm - c1_p * pm - c2_p * pp, qp - c1_m * pp - c2_m * pm)
+        for pm, pp, qm, qp in zip(fm, fp, gm, gp)
+    )
+    wedge = norm_phi * norm_phip - cp_p * cp_m
+    return {
+        "norm_phi": norm_phi, "norm_phip": norm_phip,
+        "P": _combo(gm, gm), "Q": _combo(gp, gp), "dd_p": dd_p, "dd_m": dd_m,
+        "perp": perp, "K_biv": -4.0 * wedge / norm_phi**3,
+    }
 
 
 def grid_quantities(
@@ -141,69 +169,24 @@ def grid_quantities(
     b = np.linspace(box.b0, box.b1, nb)
     B, A = np.meshgrid(b, a, indexing="ij")
 
-    phi_s = _null_samples(S.phi, a, b)
-    phip_s = _null_samples(S.phi_prime, a, b)
-    IB = np.arange(nb)[:, None]
-    IA = np.arange(na)[None, :]
-
-    norm_phi = _normsq_grid(phi_s, IA, IB)
-    norm_phip = _normsq_grid(phip_s, IA, IB)
+    core = _outer_core(_null_samples(S.phi, a, b), _null_samples(S.phi_prime, a, b))
+    norm_phi, K_biv = core["norm_phi"], core["K_biv"]
     E = 0.5 * norm_phi
+    P2 = np.broadcast_to(core["P"], (nb, na))
+    Q2 = np.broadcast_to(core["Q"], (nb, na))
 
-    # P(a), Q(b): null components of Phi'^2
-    P = sum(_metric_sign(k) * pm**2 for k, (pm, _) in enumerate(phip_s))
-    Q = sum(_metric_sign(k) * pp**2 for k, (_, pp) in enumerate(phip_s))
-    P2 = np.broadcast_to(P, (nb, na))
-    Q2 = np.broadcast_to(Q[:, None], (nb, na))
-
-    # conj(Phi) . Phi' and Phi . Phi' in null components
-    cp_p = sum(
-        _metric_sign(k) * phi_s[k][1][IB] * phip_s[k][0][IA]
-        for k in range(S.n)
-    )
-    cp_m = sum(
-        _metric_sign(k) * phi_s[k][0][IA] * phip_s[k][1][IB]
-        for k in range(S.n)
-    )
-    dd_p = sum(
-        _metric_sign(k) * phi_s[k][0][IA] * phip_s[k][0][IA]
-        for k in range(S.n)
-    )
-    dd_m = sum(
-        _metric_sign(k) * phi_s[k][1][IB] * phip_s[k][1][IB]
-        for k in range(S.n)
-    )
-    dd_p = np.broadcast_to(dd_p, (nb, na))
-    dd_m = np.broadcast_to(dd_m, (nb, na))
-
-    # projection route: Phi'perp componentwise, then its norm square
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c1_p, c1_m = cp_p / norm_phi, cp_m / norm_phi  # (conjPhi.Phi')/||Phi||^2
-        c2_p, c2_m = dd_p / norm_phi, dd_m / norm_phi  # (Phi.Phi')/||Phi||^2
-    norm_perp = 0.0
-    for k in range(S.n):
-        pm, pp = phi_s[k][0][IA], phi_s[k][1][IB]
-        qm, qp = phip_s[k][0][IA], phip_s[k][1][IB]
-        perp_p = qm - c1_p * pm - c2_p * pp  # conj(Phi)_k has null comps swapped
-        perp_m = qp - c1_m * pp - c2_m * pm
-        norm_perp = norm_perp + _metric_sign(k) * perp_p * perp_m
+    # projection route: the norm square of Phi'perp
+    norm_perp = sum(_metric_sign(k) * q * qb for k, (q, qb) in enumerate(core["perp"]))
     K_proj = -4.0 * norm_perp / norm_phi**2
-
-    # bivector route
-    wedge = norm_phi * norm_phip - cp_p * cp_m
-    K_biv = -4.0 * wedge / norm_phi**3
 
     # laplacian route: hyperbolic laplacian of ln(-||Phi||^2) via the
     # cross stencil in null coordinates (d_uu - d_vv = 4 d_a d_b)
     def lap_lnE(h):
-        corners = []
-        for sa in (h, -h):
-            am = a + sa
-            for sb in (h, -h):
-                bm = b + sb
-                s_ = _null_samples(S.phi, am, bm)
-                corners.append(np.log(-_normsq_grid(s_, IA, IB)))
-        return (corners[0] - corners[1] - corners[2] + corners[3]) / (h * h)
+        # summed one corner at a time, so one grid of logs is alive at once
+        acc = 0.0
+        for sign, sa, sb in ((1.0, h, h), (-1.0, h, -h), (-1.0, -h, h), (1.0, -h, -h)):
+            acc = acc + sign * np.log(-_combo(*_null_samples(S.phi, a + sa, b + sb)))
+        return acc / (h * h)
 
     lap = lap_lnE(h_fd)
     if richardson:
@@ -213,8 +196,7 @@ def grid_quantities(
     gauss_residual = np.abs(2.0 * lap / norm_phi + 2.0 * K_biv)
 
     # classification
-    thr = EPS_CLS * (1.0 + np.maximum(np.abs(P2), np.abs(Q2)))
-    degenerate = np.minimum(np.abs(P2), np.abs(Q2)) <= thr
+    degenerate = _degenerate(P2, Q2)
     superconf = ~degenerate & (np.abs(K_biv) <= EPS_K)
     cls = np.where(degenerate, 0, np.where(superconf, 1, 2))
 
@@ -233,8 +215,9 @@ def grid_quantities(
         "E": E, "K_proj": K_proj, "K_biv": K_biv, "K_lap": K_lap,
         "P": P2, "Q": Q2, "gauss_residual": gauss_residual,
         "class": cls, "nu": nu, "mu": mu, "kappa": kappa,
-        "norm_phip": norm_phip, "norm_perp": norm_perp,
-        "phi_phip_p": dd_p, "phi_phip_m": dd_m,
+        "norm_phip": core["norm_phip"], "norm_perp": norm_perp,
+        "phi_phip_p": np.broadcast_to(core["dd_p"], (nb, na)),
+        "phi_phip_m": np.broadcast_to(core["dd_m"], (nb, na)),
     }
 
 
@@ -253,16 +236,12 @@ def make_surface(psi: HoloCurve, domain: Box | None = None, grid: int = 33) -> S
     phi_prime = phi.differentiate()
     a = np.linspace(domain.a0, domain.a1, grid)
     b = np.linspace(domain.b0, domain.b1, grid)
-    IB = np.arange(grid)[:, None]
-    IA = np.arange(grid)[None, :]
-    phi_s = _null_samples(phi, a, b)
-    norm_phi = _normsq_grid(phi_s, IA, IB)
+    fm, fp = _null_samples(phi, a, b)
+    norm_phi = _combo(fm, fp)
 
     # Psi'^2 = Phi^2 in null components
-    sq_p = sum(_metric_sign(k) * pm**2 for k, (pm, _) in enumerate(phi_s))
-    sq_m = sum(_metric_sign(k) * pp**2 for k, (_, pp) in enumerate(phi_s))
-    sq_p = np.broadcast_to(sq_p, (grid, grid))
-    sq_m = np.broadcast_to(sq_m[:, None], (grid, grid))
+    sq_p = np.broadcast_to(_combo(fm, fm), (grid, grid))
+    sq_m = np.broadcast_to(_combo(fp, fp), (grid, grid))
     iso = np.maximum(np.abs(sq_p), np.abs(sq_m))
     scale = max(1.0, float(np.max(np.abs(norm_phi))))
 
@@ -413,11 +392,6 @@ def second_fundamental(S: SurfacePatch, t: DNum) -> tuple[np.ndarray, np.ndarray
     return _real_part(pd.phi_perp), _imag_part(pd.phi_perp)
 
 
-def mink_normsq_real(x: np.ndarray) -> float:
-    """||x||^2 = -x1^2 + sum x_k^2 for a real vector."""
-    return float(-x[0] * x[0] + np.dot(x[1:], x[1:]))
-
-
 def gauss_equation_residual(
     S: SurfacePatch, t: DNum, h_fd: float = H_FD, richardson: bool = True
 ) -> float:
@@ -430,52 +404,99 @@ def gauss_equation_residual(
 
 # -- normal-curvature hyperbola ------------------------------------------
 
-def hyperbola_at(S: SurfacePatch, s: DNum, chart) -> NormalHyperbola:
-    """Normal-curvature data at the canonical coordinate s of a chart.
+def _first(mask: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Index (j, i) and null point t of the first grid point, row-major
+    over [b, a], where mask holds; None if it holds nowhere."""
+    mask = np.broadcast_to(mask, (b.size, a.size))
+    if not mask.any():
+        return None
+    j, i = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    return (j, i), DNum.from_null(float(a[i]), float(b[j]))
 
-    The chart supplies the reparametrization t(s); the second fundamental
-    form is evaluated in canonical coordinates via the chain rule
-    Phi~ = Phi t', Phi~' = Phi' t'^2 + Phi t''.
+
+def position_grid(S: SurfacePatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x = Re Psi on the outer [b, a] grid, shape (n, nb, na), from per-axis
+    samples: x = (psi-(a) + psi+(b)) / 2."""
+    psi_m, psi_p = _null_samples(S.psi, a, b)
+    return np.stack([(m + p) / 2.0 for m, p in zip(psi_m, psi_p)])
+
+
+def canonical_grid(S: SurfacePatch, chart, sa: np.ndarray, sb: np.ndarray) -> dict:
+    """Normal-curvature data on the outer [sb, sa] grid of canonical null
+    coordinates of a chart.
+
+    Each chart axis is inverted once, t = (sminus^-1(sa), splus^-1(sb)), and
+    the per-axis samples of Phi and Phi' are carried to canonical
+    coordinates by the chain rule Phi~ = Phi t', Phi~' = Phi' t'^2 + Phi t''.
+    Returns [sb, sa] arrays E, K, nu, mu, kappa and (n, nb, na) arrays x =
+    Re Psi and the unit-frame values sigma11 = sigma(X1, X1), sigma12 =
+    sigma(X1, X2).  Raises, naming the first offending point:
+    OutOfDomainError, DegeneratePointError, and MetricDegeneracyError for
+    E >= 0 or ||Phi~||^2 numerically zero.
     """
-    a = chart.sminus.inv(s.p)
-    b = chart.splus.inv(s.m)
-    t = DNum.from_null(a, b)
-    S.domain.check(t)
-    if classify_point(S, t) is PointClass.DEGENERATE:
-        raise DegeneratePointError(f"degenerate point at t = {t!r}")
+    sm, sp = chart.sminus, chart.splus
+    a = sm.inv(np.asarray(sa, dtype=float))
+    b = sp.inv(np.asarray(sb, dtype=float))
+    box = S.domain
+    out_a = ~((box.a0 - 1e-12 <= a) & (a <= box.a1 + 1e-12))
+    out_b = ~((box.b0 - 1e-12 <= b) & (b <= box.b1 + 1e-12))
+    bad = _first(out_a[None, :] | out_b[:, None], a, b)
+    if bad is not None:
+        box.check(bad[1])
 
-    d1a, d1b = chart.sminus.dfwd(a), chart.splus.dfwd(b)
-    d2a, d2b = chart.sminus.d2fwd(a), chart.splus.d2fwd(b)
-    t1 = DNum.from_null(1.0 / d1a, 1.0 / d1b)
-    t2 = DNum.from_null(-d2a / d1a**3, -d2b / d1b**3)
+    fm, fp = _null_samples(S.phi, a, b)
+    gm, gp = _null_samples(S.phi_prime, a, b)
+    bad = _first(_degenerate(_combo(gm, gm), _combo(gp, gp)), a, b)
+    if bad is not None:
+        raise DegeneratePointError(f"degenerate point at t = {bad[1]!r}")
 
-    phi = S.phi.eval_unchecked(t)
-    phip = S.phi_prime.eval_unchecked(t)
-    phi_c = phi.scale(t1)
-    phip_c = phip.scale(t1 * t1) + phi.scale(t2)
+    # per-axis t' = 1 / s' and t'' = -s'' / s'^3
+    d1a, d1b = sm.dfwd(a)[None, :], sp.dfwd(b)[:, None]
+    d2a, d2b = sm.d2fwd(a)[None, :], sp.d2fwd(b)[:, None]
+    t1a, t1b = 1.0 / d1a, 1.0 / d1b
+    t2a, t2b = -d2a / d1a**3, -d2b / d1b**3
+    core = _outer_core(
+        ([f * t1a for f in fm], [f * t1b for f in fp]),
+        ([g * t1a**2 + f * t2a for f, g in zip(fm, gm)],
+         [g * t1b**2 + f * t2b for f, g in zip(fp, gp)]),
+    )
+    ns = core["norm_phi"]
+    E = 0.5 * ns
+    bad = _first(E >= 0.0, a, b)
+    if bad is not None:
+        raise MetricDegeneracyError(f"non-negative E = {float(E[bad[0]])} at t = {bad[1]!r}")
+    bad = _first(np.abs(ns) < 1e-14, a, b)
+    if bad is not None:
+        raise MetricDegeneracyError(
+            f"||Phi||^2 = {float(ns[bad[0]])!r} is numerically zero; metric degenerate here"
+        )
 
-    E = 0.5 * normsq(phi_c)
-    if E >= 0.0:
-        raise MetricDegeneracyError(f"non-negative E = {E} at t = {t!r}")
-    perp = project_normal(phi_c, phip_c)
-    s_uu = _real_part(perp)
-    s_uv = _imag_part(perp)
+    # sigma(x_u, x_u) = Re Phi~'perp, sigma(x_u, x_v) = Im Phi~'perp,
+    # scaled to the unit frame X1 = x_u / sqrt(-E), X2 = x_v / sqrt(-E)
+    perp = list(core["perp"])
+    sig11 = np.stack([(q + qb) / 2.0 for q, qb in perp]) / (-E)
+    sig12 = np.stack([(qb - q) / 2.0 for q, qb in perp]) / (-E)
+    nu = np.sqrt(np.maximum(0.0, _combo(sig11, sig11)))
+    mu = np.sqrt(np.maximum(0.0, _combo(sig12, sig12)))
+    return {
+        "x": position_grid(S, a, b), "E": E, "K": -nu * nu + mu * mu,
+        "nu": nu, "mu": mu, "kappa": 2.0 * nu * mu,
+        "sigma11": sig11, "sigma12": sig12,
+    }
 
-    # unit-frame values: X1 = x_u / sqrt(-E), X2 = x_v / sqrt(-E)
-    sig11 = s_uu / (-E)
-    sig12 = s_uv / (-E)
-    nu = math.sqrt(max(0.0, mink_normsq_real(sig11)))
-    mu = math.sqrt(max(0.0, mink_normsq_real(sig12)))
-    K = -nu * nu + mu * mu
-    kappa = 2.0 * nu * mu
 
+def hyperbola_at(S: SurfacePatch, s: DNum, chart) -> NormalHyperbola:
+    """Normal-curvature data at the canonical coordinate s of a chart:
+    canonical_grid on a grid of one point."""
+    g = canonical_grid(S, chart, np.array([s.p]), np.array([s.m]))
+    nu, mu = float(g["nu"][0, 0]), float(g["mu"][0, 0])
+    sig11, sig12 = g["sigma11"][:, 0, 0], g["sigma12"][:, 0, 0]
     tol = 1e-10 * (1.0 + nu + mu)
-    frame_degenerate = nu <= tol or mu <= tol
-    n1 = None if nu <= tol else sig11 / nu
-    n2 = None if mu <= tol else sig12 / mu
     return NormalHyperbola(
-        n1=n1, n2=n2, nu=nu, mu=mu, kappa=kappa, K=K, E=E,
-        frame_degenerate=frame_degenerate,
+        n1=None if nu <= tol else sig11 / nu,
+        n2=None if mu <= tol else sig12 / mu,
+        nu=nu, mu=mu, kappa=float(g["kappa"][0, 0]), K=float(g["K"][0, 0]),
+        E=float(g["E"][0, 0]), frame_degenerate=nu <= tol or mu <= tol,
     )
 
 

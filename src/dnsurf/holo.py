@@ -52,16 +52,6 @@ class RealFn1:
             expr=e,
         )
 
-    @classmethod
-    def from_callable(cls, f: Callable[[float], float]) -> "RealFn1":
-        def df(x, _f=f):
-            return (_f(x + _FD_H) - _f(x - _FD_H)) / (2.0 * _FD_H)
-
-        def d2f(x, _f=f):
-            return (_f(x + _FD_H) - 2.0 * _f(x) + _f(x - _FD_H)) / (_FD_H * _FD_H)
-
-        return cls(f=f, df=df, d2f=d2f)
-
     def __call__(self, x):
         return self.f(x)
 
@@ -74,6 +64,16 @@ class RealFn1:
             return (_d2(x + _FD_H) - _d2(x - _FD_H)) / (2.0 * _FD_H)
 
         return RealFn1(f=self.df, df=self.d2f, d2f=d3f)
+
+
+def sample(f, x):
+    """f(x) as a float for scalar x, else as an array shaped like x.
+
+    Constant functions evaluate to a bare float; this broadcasts them.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    return float(y) if y.ndim == 0 else y
 
 
 def fn_constant(c: float) -> RealFn1:
@@ -133,11 +133,6 @@ class Box:
         if not (self.a0 < self.a1 and self.b0 < self.b1):
             raise GridError(f"empty domain box {self}")
 
-    def contains(self, a: float, b: float, tol: float = 1e-12) -> bool:
-        return (self.a0 - tol <= a <= self.a1 + tol) and (
-            self.b0 - tol <= b <= self.b1 + tol
-        )
-
     def check(self, t: DNum):
         if not (self.a0 - 1e-12 <= t.p <= self.a1 + 1e-12):
             raise OutOfDomainError(
@@ -148,19 +143,8 @@ class Box:
                 f"null coordinate b={t.m!r} outside [{self.b0}, {self.b1}]"
             )
 
-    def reflect(self) -> "Box":
-        """The box jD: (a, b) -> (-a, b) axis swap for conjugation is
-        handled by swapped(); this reflects the a-axis through 0."""
-        return Box(-self.a1, -self.a0, self.b0, self.b1)
-
     def swapped(self) -> "Box":
         return Box(self.b0, self.b1, self.a0, self.a1)
-
-    def grid(self, na: int, nb: int):
-        """Row-major meshes of the null coordinates, shape (nb, na)."""
-        a = np.linspace(self.a0, self.a1, na)
-        b = np.linspace(self.b0, self.b1, nb)
-        return np.meshgrid(a, b)
 
 
 # -- holomorphic maps ----------------------------------------------------

@@ -3,8 +3,8 @@
 The backend is chosen once at import time: numpy when the environment
 variable DNSURF_NO_NUMBA is set to a non-empty value, or when numba is not
 importable; numba (njit, cached) otherwise.  Both backends compute
-identical results to floating-point roundoff; bench/benchmark.py compares
-their throughput.
+identical results to floating-point roundoff.  numba is an optional extra
+(``pip install -e ".[numba]"``).
 """
 
 from __future__ import annotations

@@ -51,6 +51,14 @@ def s4():
 
 
 @pytest.fixture(scope="session")
+def s5():
+    """Phi'^2 = e^{2a} q + e^{2b} qbar: non-constant chart integrand, s = 2 e^{x/2} + c."""
+    exprs = ["exp(t)", "exp(t)*(cos(t)+sin(t))/2", "exp(t)*(sin(t)-cos(t))/2"]
+    psi = holo.HoloCurve.from_exprs([sexpr.parse(e) for e in exprs], holo.Box(-2.0, 0.0, 0.4, 2.0))
+    return geom.make_surface(psi)
+
+
+@pytest.fixture(scope="session")
 def gallery(s1, s2, s3, s4):
     return [s1, s2, s3, s4]
 

@@ -1,5 +1,7 @@
 """Canonical coordinates: construction, verification, uniqueness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,42 @@ def test_verify_detects_wrong_chart(s1):
         base=DNum(0.0, 0.0),
     )
     np.testing.assert_allclose(verify_canonical(s1, wrong), 0.9375, rtol=1e-12)
+
+
+def test_verify_detects_map_off_its_derivative(s2, s5):
+    """fwd scaled by 1.001 while dfwd stays the integrand: a 1e-3 increment defect."""
+    for S in (s2, s5):
+        chart = canonize(S)
+        assert verify_canonical(S, chart) <= 1e-8
+        m = chart.sminus
+        off = replace(chart, sminus=replace(m, fwd=lambda x, _f=m.fwd: 1.001 * _f(x)))
+        assert verify_canonical(S, off) >= 1e-4
+
+
+def test_s5_chart_closed_form(s5):
+    """P = e^{2a}, so s = 2 e^{a/2} - 2 e^{a0/2} from the base a0, per axis."""
+    base = DNum.from_null(-1.0, 1.2)
+    chart = canonize(s5, base)
+    for m, x0, (lo, hi) in ((chart.sminus, base.p, (-2.0, 0.0)), (chart.splus, base.m, (0.4, 2.0))):
+        x = np.linspace(lo, hi, 33)
+        want = 2.0 * np.exp(x / 2.0) - 2.0 * np.exp(x0 / 2.0)
+        np.testing.assert_allclose(m.fwd(x), want, atol=1e-10)
+        np.testing.assert_allclose(m.inv(want), x, atol=1e-10)
+
+
+def test_map_axes_accept_arrays(s5):
+    """Array calls of fwd, inv, dfwd and d2fwd agree with scalar calls."""
+    chart = canonize(s5)
+    for m in (chart.sminus, chart.splus):
+        x = np.linspace(m.lo, m.hi, 11)
+        s = m.fwd(x)
+        for f, arg in ((m.fwd, x), (m.inv, s), (m.dfwd, x), (m.d2fwd, x)):
+            got = f(arg)
+            assert got.shape == arg.shape
+            np.testing.assert_allclose(got, [f(float(v)) for v in arg], rtol=1e-14, atol=1e-15)
+    lin = Map1D.linear(2.0, 1.0, 0.0, 1.0)
+    np.testing.assert_array_equal(lin.dfwd(np.zeros((2, 3))), np.full((2, 3), 2.0))
+    assert lin.d2fwd(0.5) == 0.0
 
 
 def test_inverse_roundtrip(s2):

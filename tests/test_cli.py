@@ -5,9 +5,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from dnsurf import cli, geom
 from dnsurf.cli import main
+from dnsurf.dnum import DNum
 
 GALLERY = pathlib.Path(__file__).resolve().parents[1] / "gallery"
 
@@ -132,6 +135,66 @@ def test_mesh_bad_grid_and_indices(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("mesh", GALLERY / "s1.json", "--project", "0,1,7",
                    "--out", tmp_path / "x.obj") == 2
+
+
+def test_grid_cap(tmp_path, capsys):
+    """An oversized --grid is a validation error, raised before any sampling."""
+    assert cli._parse_grid("2048x2048") == (2048, 2048)
+    for cmd in ("invariants", "mesh", "canonize"):
+        assert run_cli(cmd, GALLERY / "s1.json", "--grid", "100000x100000",
+                       "--out", tmp_path / "x.out") == 2
+        assert "too large" in capsys.readouterr().err
+    with pytest.raises(cli.GridError):
+        cli._parse_grid(f"{cli.MAX_GRID_POINTS // 2 + 1}x2")
+
+
+def _fmt_ref(x):
+    return f"{float(x):.17g}"
+
+
+def _invariants_ref(S, w, h):
+    """The invariants CSV as a per-value formatter writes it."""
+    g = geom.grid_quantities(S, w, h, box=cli._inset_box(S.domain, 2.0 * geom.H_FD))
+    names = {0: "degenerate", 1: "superconformal", 2: "generic"}
+    lines = ["u,v,E,K_proj,K_biv,K_lap,class,nu,mu,kappa,gauss_residual"]
+    for i in range(h):
+        for k in range(w):
+            c = int(g["class"][i, k])
+            row = [_fmt_ref(g[n][i, k]) for n in ("u", "v", "E", "K_proj", "K_biv", "K_lap")]
+            row.append(names[c])
+            row += ["", "", ""] if c == 0 else [_fmt_ref(g[n][i, k]) for n in ("nu", "mu", "kappa")]
+            row.append(_fmt_ref(g["gauss_residual"][i, k]))
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_invariants_bytes_match_per_value_formatter(tmp_path, s1, s3):
+    for name, S in (("s1", s1), ("s3", s3)):
+        out = tmp_path / f"{name}.csv"
+        assert run_cli("invariants", GALLERY / f"{name}.json", "--grid", "7x5", "--out", out) == 0
+        assert out.read_bytes() == _invariants_ref(S, 7, 5).encode()
+
+
+def test_mesh_matches_pointwise_psi(tmp_path, s2):
+    w, h, proj = 6, 4, (3, 0, 1)
+    out = tmp_path / "m.obj"
+    assert run_cli("mesh", GALLERY / "s2.json", "--grid", f"{w}x{h}",
+                   "--project", ",".join(map(str, proj)), "--out", out) == 0
+    lines = out.read_text().splitlines()
+    box = s2.domain
+    want = [
+        [s2.psi.eval_unchecked(DNum.from_null(float(x), float(y)))[i].re for i in proj]
+        for y in np.linspace(box.b0, box.b1, h) for x in np.linspace(box.a0, box.a1, w)
+    ]
+    got = [[float(c) for c in ln.split()[1:]] for ln in lines[: w * h]]
+    assert all(ln.startswith("v ") for ln in lines[: w * h])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    faces = []
+    for ib in range(h - 1):
+        for ia in range(w - 1):
+            v00 = ib * w + ia + 1
+            faces += [f"f {v00} {v00 + 1} {v00 + w + 1}", f"f {v00} {v00 + w + 1} {v00 + w}"]
+    assert lines[w * h:] == faces
 
 
 def test_missing_file_is_validation_error(tmp_path, capsys):

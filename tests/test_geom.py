@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dnsurf import geom
+from dnsurf import canon, geom
 from dnsurf.dnum import DNum
-from dnsurf.errors import SurfaceConditionError
+from dnsurf.errors import DegeneratePointError, OutOfDomainError, SurfaceConditionError
 from dnsurf.holo import Box, HoloCurve
 from dnsurf.mink import dot
 from dnsurf.sexpr import parse
@@ -242,3 +242,61 @@ def test_mean_curvature_residual(s1):
     )
     x = np.stack([U + V, 2 * U, 3 * V - 1], axis=-1)
     assert geom.mean_curvature_residual(x, u[1] - u[0], v[1] - v[0]) <= 1e-12
+
+
+def _padded_axes(chart, w, h):
+    sb = chart.s_box
+    pa, pb = 0.02 * (sb.a1 - sb.a0), 0.02 * (sb.b1 - sb.b0)
+    return np.linspace(sb.a0 + pa, sb.a1 - pa, w), np.linspace(sb.b0 + pb, sb.b1 - pb, h)
+
+
+def test_canonical_grid_matches_scalar_routes(s1, s2, s5):
+    """x and K on the canonical grid against point_data and the bivector K."""
+    for S in (s1, s2, s5):
+        chart = canon.canonize(S)
+        sa, sb = _padded_axes(chart, 7, 6)
+        g = geom.canonical_grid(S, chart, sa, sb)
+        assert g["x"].shape == (S.n, 6, 7) and g["K"].shape == (6, 7)
+        for j, y in enumerate(sb):
+            for i, x in enumerate(sa):
+                t = chart.inv(DNum.from_null(float(x), float(y)))
+                want_x = geom.point_data(S, t).x
+                np.testing.assert_allclose(g["x"][:, j, i], want_x, rtol=1e-10,
+                                           atol=1e-10 * np.max(np.abs(want_x)))
+                np.testing.assert_allclose(g["K"][j, i], geom.gauss_K(S, t, "bivector"),
+                                           rtol=1e-10)
+                np.testing.assert_allclose(g["kappa"][j, i], 2.0 * g["nu"][j, i] * g["mu"][j, i],
+                                           rtol=1e-14)
+
+
+def _unit_chart(S):
+    box = S.domain
+    return canon.CanonicalChart(
+        sminus=canon.Map1D.linear(1.0, 0.0, box.a0, box.a1),
+        splus=canon.Map1D.linear(1.0, 0.0, box.b0, box.b1),
+        base=DNum(0.0, 0.0),
+    )
+
+
+def test_hyperbola_at_raises_where_it_did(s1, s3, s4):
+    with pytest.raises(DegeneratePointError, match="degenerate point"):
+        geom.hyperbola_at(s3, DNum(0.1, -0.2), _unit_chart(s3))
+    with pytest.raises(DegeneratePointError, match="degenerate point"):
+        geom.hyperbola_at(s4, DNum.from_null(1.5, 0.0), _unit_chart(s4))
+    box = s1.domain
+    with pytest.raises(OutOfDomainError, match="null coordinate a="):
+        geom.hyperbola_at(s1, DNum.from_null(box.a1 + 0.5, 1.0), _unit_chart(s1))
+    with pytest.raises(OutOfDomainError, match="null coordinate b="):
+        geom.hyperbola_at(s1, DNum.from_null(-1.0, box.b0 - 0.5), _unit_chart(s1))
+    H = geom.hyperbola_at(s1, DNum(0.0, math.pi / 2), _unit_chart(s1))
+    np.testing.assert_allclose([H.K, H.E, H.mu], [1.0, -1.0, 1.0], atol=1e-12)
+
+
+def test_canonical_grid_names_first_offending_point(s1):
+    """On a batch, the error names the first bad point in [b, a] row-major order."""
+    box = s1.domain
+    sa = np.array([-1.0, box.a1 + 0.25, box.a1 + 0.5])
+    sb = np.array([1.0, 1.5])
+    with pytest.raises(OutOfDomainError, match=f"a={box.a1 + 0.25!r}"):
+        geom.canonical_grid(s1, _unit_chart(s1), sa, sb)
+
