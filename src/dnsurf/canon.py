@@ -4,6 +4,10 @@ Phi'^2 factors over the null basis as P(a) q + Q(b) qbar, so the chart
 splits into two strictly increasing maps a -> s_a, b -> s_b obtained by
 integrating the positive fourth roots P^{1/4}, Q^{1/4}.  The additive
 constant is fixed by sending the base point to s = 0.
+
+Each map is a composite Simpson integral on a node-doubling ladder,
+interpolated between nodes by a piecewise cubic Hermite polynomial whose
+node slopes are the integrand itself, so only numpy is needed.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import kernels
 from .dnum import DNum, EPS_CLS
@@ -89,12 +92,12 @@ class Map1D:
             prev_total = total
             n = 2 * (n - 1) + 1
 
-        spline = CubicSpline(xs, F)
-        val0 = float(spline(x0))
+        interp = _hermite(xs, F, ys)
+        val0 = float(interp(x0))
         deriv_min = float(np.min(ys))
 
         def fwd(x):
-            return sample(spline, x) - val0
+            return sample(interp, x) - val0
 
         def inv(s):
             # np.interp start, then 3 Newton steps clamped to [lo, hi]; a
@@ -106,7 +109,7 @@ class Map1D:
                 d = sample(fn.f, x)
                 live &= d > 0.0
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    step = (spline(x) - target) / d
+                    step = (interp(x) - target) / d
                 x = np.where(live, np.clip(x - step, lo, hi), x)
             return float(x) if x.ndim == 0 else x
 
@@ -116,6 +119,28 @@ class Map1D:
             d2fwd=lambda x: sample(fn.df, x),
             lo=lo, hi=hi, nodes=n, deriv_min=deriv_min,
         )
+
+
+def _hermite(xs: np.ndarray, F: np.ndarray, dF: np.ndarray) -> Callable:
+    """Piecewise cubic Hermite interpolant of values F and slopes dF on the
+    uniform nodes xs; the end cubics extend past [xs[0], xs[-1]].
+
+    Takes a float or an array; returns a numpy float or an array shaped
+    like it.
+    """
+    lo, h, last = float(xs[0]), float(xs[1] - xs[0]), xs.size - 2
+    d = np.diff(F) / h
+    c1, c2 = dF[:-1], (3.0 * d - 2.0 * dF[:-1] - dF[1:]) / h
+    c3 = (dF[:-1] + dF[1:] - 2.0 * d) / (h * h)
+
+    def interp(x):
+        x = np.asarray(x, dtype=float)
+        # fmax/fmin send a NaN index to interval 0; r keeps the NaN
+        i = np.fmin(np.fmax(np.floor((x - lo) / h), 0.0), last).astype(np.intp)
+        r = x - xs[i]
+        return F[i] + r * (c1[i] + r * (c2[i] + r * c3[i]))
+
+    return interp
 
 
 def map_scale_output(m: Map1D, c: float) -> Map1D:

@@ -10,8 +10,9 @@ Domains are stored internally in null coordinates (a, b) = (u - v, u + v);
 a {"u": [...], "v": [...]} box is converted to the enclosing null box with
 a warning on stderr.  A --grid WxH needs w, h >= 2 and at most
 MAX_GRID_POINTS = 2^22 points in all.  Exit codes: 0 success, 2 validation
-failure (a bad grid included), 3 parse failure, 4 numeric failure
-(quadrature / degeneracy).
+failure (a bad grid or a non-finite domain bound included), 3 parse failure
+(a non-finite number literal included), 4 numeric failure (quadrature /
+degeneracy).
 """
 
 from __future__ import annotations

@@ -227,8 +227,9 @@ def make_surface(psi: HoloCurve, domain: Box | None = None, grid: int = 33) -> S
     """Validate the minimal time-like conditions and build a SurfacePatch.
 
     Checks on a grid x grid sample of the domain: |Psi'^2| <= 1e-9 * scale
-    (isothermal) and ||Psi'||^2 < 0 strictly (time-like).  Rejection names
-    the violated condition, the worst grid point, and its residual.
+    (isothermal) and ||Psi'||^2 < 0 strictly (time-like); a NaN sample
+    fails them.  Rejection names the violated condition, the worst grid
+    point, and its residual.
     Holomorphy holds by construction of HoloCurve.
     """
     domain = domain or psi.domain
@@ -248,7 +249,7 @@ def make_surface(psi: HoloCurve, domain: Box | None = None, grid: int = 33) -> S
     i, k = np.unravel_index(int(np.argmax(iso)), iso.shape)
     worst_iso = float(iso[i, k])
     worst_iso_at = (float(a[k]), float(b[i]))
-    if worst_iso > ISOTHERMAL_TOL * scale:
+    if not worst_iso <= ISOTHERMAL_TOL * scale:  # a NaN residual fails too
         raise SurfaceConditionError(
             f"isothermal condition Psi'^2 = 0 violated: residual "
             f"{worst_iso:.3e} at null point (a, b) = {worst_iso_at}"
@@ -257,7 +258,7 @@ def make_surface(psi: HoloCurve, domain: Box | None = None, grid: int = 33) -> S
     i, k = np.unravel_index(int(np.argmax(norm_phi)), norm_phi.shape)
     worst_norm = float(norm_phi[i, k])
     worst_norm_at = (float(a[k]), float(b[i]))
-    if worst_norm >= 0.0:
+    if not worst_norm < 0.0:
         raise SurfaceConditionError(
             f"time-like condition ||Psi'||^2 < 0 violated: value "
             f"{worst_norm:.3e} at null point (a, b) = {worst_norm_at}"

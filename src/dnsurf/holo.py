@@ -12,11 +12,11 @@ canonization) then reduces to independent 1-D problems on the two axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import sexpr
 from .dnum import DNum
@@ -130,6 +130,8 @@ class Box:
     b1: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a0, self.a1, self.b0, self.b1))):
+            raise GridError(f"non-finite domain box {self}")
         if not (self.a0 < self.a1 and self.b0 < self.b1):
             raise GridError(f"empty domain box {self}")
 
@@ -200,6 +202,8 @@ def _primitive_axis(fn: RealFn1, x0: float) -> RealFn1:
             return RealFn1.from_expr(sexpr.sub(F, sexpr.Num(float(F0))))
 
     def F(x, _f=fn.f, _x0=x0):
+        from scipy.integrate import quad  # only this fallback needs scipy
+
         val, _ = quad(_f, _x0, x, epsabs=1e-12, epsrel=1e-12, limit=200)
         return val
 

@@ -279,6 +279,8 @@ def _parse_number(toks: _Tokens) -> Expr:
         value = float(text[start:i])
     except ValueError:
         raise ParseError(f"malformed number {text[start:i]!r}", start) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {text[start:i]!r}", start)
     toks.pos = i
     return Num(value)
 

@@ -298,6 +298,8 @@ def test_criterion_10_cli_determinism(tmp_path):
         (["invariants", GALLERY / "s1.json", "--grid", "8x8"], ["out.csv"]),
         (["invariants", GALLERY / "s2.json", "--grid", "8x8"], ["out.csv"]),
         (["canonize", GALLERY / "s2.json", "--grid", "5x5"], ["out.json", "out.csv"]),
+        (["canonize", GALLERY / "s1.json", "--grid", "5x5", "--base", "0.3,0.5"],
+         ["out.json", "out.csv"]),
         (["family", GALLERY / "s1.json", "--op", "conjugate"], ["out.json"]),
         (["family", GALLERY / "s1.json", "--op", "associated", "--theta", "0.7"],
          ["out.json"]),

@@ -70,6 +70,19 @@ def test_s5_chart_closed_form(s5):
         np.testing.assert_allclose(m.inv(want), x, atol=1e-10)
 
 
+def test_hermite_reproduces_cubic():
+    """Values x^3 and slopes 3x^2 at the nodes pin every piece to x^3 itself."""
+    xs = np.linspace(-1.3, 2.1, 9)
+    interp = canon._hermite(xs, xs**3, 3.0 * xs**2)
+    x = np.linspace(-1.5, 2.3, 77).reshape(7, 11)
+    got = interp(x)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, x**3, rtol=0, atol=1e-13)
+    for v in (-1.3, -0.41, 0.0, 1.7, 2.1):
+        assert abs(float(interp(v)) - v**3) <= 1e-13
+    assert np.isnan(float(interp(np.nan)))
+
+
 def test_map_axes_accept_arrays(s5):
     """Array calls of fwd, inv, dfwd and d2fwd agree with scalar calls."""
     chart = canonize(s5)

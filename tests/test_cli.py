@@ -50,6 +50,34 @@ def test_check_validation_failure(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_check_rejects_non_finite_literal(tmp_path, capsys):
+    """1e400 overflows to inf; the parser refuses it instead of building inf."""
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps({
+        "name": "inf", "n": 3,
+        "psi": ["t", "sin(t)", "-cos(t)*1e400"],
+        "domain": {"a": [-2, 0], "b": [0.4, 2]},
+    }))
+    assert run_cli("check", bad) == 3
+    assert "non-finite number '1e400'" in capsys.readouterr().err
+
+
+def test_check_rejects_non_finite_domain(tmp_path, capsys):
+    bad = tmp_path / "inf.json"
+    bad.write_text(
+        '{"name": "inf", "n": 3, "psi": ["t", "sin(t)", "-cos(t)"],'
+        ' "domain": {"a": [-2, 1e400], "b": [0.4, 2]}}'
+    )
+    assert run_cli("check", bad) == 2
+    assert "non-finite domain box" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, dnsurf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert r.stdout.strip() == "[]"
+
+
 def test_canonize_degenerate_is_numeric_failure(tmp_path, capsys):
     assert run_cli(
         "canonize", GALLERY / "s3.json", "--out", tmp_path / "r.json"
@@ -197,6 +225,24 @@ def test_mesh_matches_pointwise_psi(tmp_path, s2):
     assert lines[w * h:] == faces
 
 
+def test_canonize_s1_off_centre_base(tmp_path, s1):
+    """Phi'^2 = 1 on s1, so the chart is t - base: base (u, v) = (0.3, 0.5)
+    is the null point (a, b) = (-0.2, 0.8)."""
+    out = tmp_path / "c.json"
+    assert run_cli("canonize", GALLERY / "s1.json", "--grid", "5x4",
+                   "--base", "0.3,0.5", "--out", out) == 0
+    rep = json.loads(out.read_text())
+    assert rep["base"] == [0.3, 0.5]
+    np.testing.assert_allclose(rep["s_range"]["minus"], [-1.8, 0.2], atol=1e-12)
+    np.testing.assert_allclose(rep["s_range"]["plus"], [-0.4, 1.2], atol=1e-12)
+    rows = np.loadtxt(tmp_path / "c.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (20, 9)
+    for s_u, s_v, *x in rows[:, :5]:
+        t = DNum.from_null(s_u - s_v - 0.2, s_u + s_v + 0.8)
+        want = [c.re for c in s1.psi.eval_unchecked(t)]
+        np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12)
+
+
 def test_missing_file_is_validation_error(tmp_path, capsys):
     assert run_cli("check", tmp_path / "nope.json") == 2
 
@@ -214,6 +260,7 @@ def test_determinism_byte_identical(tmp_path):
     cases = [
         (["invariants", GALLERY / "s2.json", "--grid", "8x8"], "inv.csv"),
         (["canonize", GALLERY / "s2.json", "--grid", "5x5"], "can.json"),
+        (["canonize", GALLERY / "s1.json", "--grid", "5x5", "--base", "0.3,0.5"], "can.json"),
         (["family", GALLERY / "s1.json", "--op", "associated", "--theta", "0.3"], "fam.json"),
         (["mesh", GALLERY / "s1.json", "--grid", "6x6"], "mesh.obj"),
     ]

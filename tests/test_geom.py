@@ -1,6 +1,7 @@
 """Surface kernel: validation, curvatures, classification, hyperbola."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ def test_make_surface_rejects_non_isothermal():
     )
     with pytest.raises(SurfaceConditionError, match="isothermal"):
         geom.make_surface(psi)
+
+
+def test_make_surface_rejects_nan_samples(s5):
+    """s5 stretched to b = 800, where exp(t) overflows and Phi^2 samples are NaN."""
+    box = Box(-2.0, 0.0, 0.4, 800.0)
+    psi = HoloCurve(tuple(replace(c, domain=box) for c in s5.psi.components))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SurfaceConditionError, match="residual nan"):
+            geom.make_surface(psi)
 
 
 def test_point_data_s1_at_half_pi(s1):

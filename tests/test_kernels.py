@@ -1,8 +1,4 @@
-"""Kernel backends: numba and numpy must agree; numeric sanity checks."""
-
-import os
-import subprocess
-import sys
+"""Numeric kernels: exactness and accuracy on known integrals and stencils."""
 
 import numpy as np
 
@@ -10,15 +6,7 @@ from dnsurf import kernels
 
 
 def test_backend_selected():
-    assert kernels.BACKEND in ("numba", "numpy")
-
-
-def test_cumulative_simpson_matches_reference():
-    rng = np.random.default_rng(43)
-    y = rng.standard_normal(513)
-    got = kernels.cumulative_simpson(y, 0.01)
-    want = kernels._cumulative_simpson_np(y, 0.01)
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert kernels.BACKEND == "numpy"
 
 
 def test_cumulative_simpson_exact_on_quadratics():
@@ -42,14 +30,6 @@ def test_cumulative_simpson_short_arrays():
     )
 
 
-def test_hyperbolic_laplacian_matches_reference():
-    rng = np.random.default_rng(47)
-    F = rng.standard_normal((20, 30))
-    got = kernels.hyperbolic_laplacian(F, 0.1, 0.2)
-    want = kernels._hyperbolic_laplacian_np(F, 0.1, 0.2)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
 def test_hyperbolic_laplacian_quadratic():
     """lap of u^2 + v^2 is exactly 2 - 2 = 0; of u^2 alone it is 2."""
     u = np.linspace(0, 1, 21)
@@ -62,21 +42,3 @@ def test_hyperbolic_laplacian_quadratic():
     np.testing.assert_allclose(
         kernels.hyperbolic_laplacian(U * U, du, dv), 2.0, atol=1e-10
     )
-
-
-def test_dnum_mul_kernel():
-    rng = np.random.default_rng(53)
-    a, b, c, d = rng.standard_normal((4, 100))
-    re, im = kernels.dnum_mul(a, b, c, d)
-    np.testing.assert_allclose(re, a * c + b * d, rtol=1e-15)
-    np.testing.assert_allclose(im, a * d + b * c, rtol=1e-15)
-
-
-def test_numpy_fallback_env_flag():
-    """DNSURF_NO_NUMBA forces the numpy backend in a fresh interpreter."""
-    env = dict(os.environ, DNSURF_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from dnsurf import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
