@@ -3,7 +3,10 @@
 Phi'^2 factors over the null basis as P(a) q + Q(b) qbar, so the chart
 splits into two strictly increasing maps a -> s_a, b -> s_b obtained by
 integrating the positive fourth roots P^{1/4}, Q^{1/4}.  The additive
-constant is fixed by sending the base point to s = 0.
+constant is fixed by sending the base point to s = 0.  Each integrand is
+an AxisIntegrand: P (or Q) is the Minkowski combination, geom._combo, of
+the null components of Phi' on that axis, the same one geom uses, and the
+integrand's slope comes from the same samples.
 
 Each map is a composite Simpson integral on a node-doubling ladder,
 interpolated between nodes by a piecewise cubic Hermite polynomial whose
@@ -20,7 +23,7 @@ import numpy as np
 from . import kernels
 from .dnum import DNum, EPS_CLS
 from .errors import ChartModelError, DegeneratePointError, QuadratureError
-from .geom import SurfacePatch
+from .geom import SurfacePatch, _combo
 from .holo import Box, RealFn1, sample
 
 #: Quadrature node ladder: start here, double until converged.
@@ -70,11 +73,12 @@ class Map1D:
 
     @classmethod
     def from_quadrature(
-        cls, fn: RealFn1, lo: float, hi: float, x0: float, tol: float = QUAD_TOL
+        cls, fn, lo: float, hi: float, x0: float, tol: float = QUAD_TOL
     ) -> "Map1D":
         """Cumulative integral of a positive integrand fn on [lo, hi],
         anchored to 0 at x0, with node count doubled until the composite
-        Simpson totals converge to tol."""
+        Simpson totals converge to tol.  fn is read through fn.f and its
+        slope fn.df (a RealFn1 or an AxisIntegrand)."""
         n = _MIN_NODES
         prev_total = None
         while True:
@@ -217,47 +221,33 @@ class ChartRelation:
     residual: float
 
 
-# -- null components of Phi'^2 as 1-D functions --------------------------
+# -- the chart integrand -------------------------------------------------
 
-def axis_squares(S: SurfacePatch) -> tuple[RealFn1, RealFn1]:
-    """(P, Q) with Phi'^2 = P(a) q + Q(b) qbar, with two derivatives."""
-    minus = [c.fminus for c in S.phi_prime.components]
-    plus = [c.fplus for c in S.phi_prime.components]
-    return _square_combo(minus), _square_combo(plus)
+@dataclass(frozen=True)
+class AxisIntegrand:
+    """The chart integrand on one null axis, from the null components g_k
+    of Phi' on that axis: square(x) = sum_k sign_k g_k(x)^2 is the
+    component of Phi'^2 there (P on a, Q on b), f its positive fourth root
+    and df the slope of f."""
 
+    g: tuple[RealFn1, ...]
 
-def _square_combo(fns) -> RealFn1:
-    signs = [-1.0 if k == 0 else 1.0 for k in range(len(fns))]
+    def square(self, x):
+        g = [fn.f(x) for fn in self.g]
+        return _combo(g, g)
 
-    def f(x):
-        return sum(s * fn.f(x) ** 2 for s, fn in zip(signs, fns))
+    def f(self, x):
+        return self.square(x) ** 0.25
 
-    def df(x):
-        return sum(2.0 * s * fn.f(x) * fn.df(x) for s, fn in zip(signs, fns))
-
-    def d2f(x):
-        return sum(
-            2.0 * s * (fn.df(x) ** 2 + fn.f(x) * fn.d2f(x))
-            for s, fn in zip(signs, fns)
-        )
-
-    return RealFn1(f=f, df=df, d2f=d2f)
+    def df(self, x):
+        g = [fn.f(x) for fn in self.g]
+        return 2.0 * _combo(g, [fn.df(x) for fn in self.g]) / (4.0 * _combo(g, g) ** 0.75)
 
 
-def _quartic_root(P: RealFn1) -> RealFn1:
-    """(P)^{1/4} with exact first and second derivatives."""
-
-    def f(x):
-        return P.f(x) ** 0.25
-
-    def df(x):
-        return P.df(x) / (4.0 * P.f(x) ** 0.75)
-
-    def d2f(x):
-        p, dp, d2p = P.f(x), P.df(x), P.d2f(x)
-        return d2p / (4.0 * p**0.75) - 3.0 * dp**2 / (16.0 * p**1.75)
-
-    return RealFn1(f=f, df=df, d2f=d2f)
+def chart_integrands(S: SurfacePatch) -> tuple[AxisIntegrand, AxisIntegrand]:
+    """The integrands on the a and b axes, Phi'^2 = P(a) q + Q(b) qbar."""
+    comps = S.phi_prime.components
+    return AxisIntegrand(tuple(c.fminus for c in comps)), AxisIntegrand(tuple(c.fplus for c in comps))
 
 
 # -- canonization --------------------------------------------------------
@@ -279,10 +269,10 @@ def canonize(
         base = DNum.from_null(0.5 * (box.a0 + box.a1), 0.5 * (box.b0 + box.b1))
     box.check(base)
 
-    P, Q = axis_squares(S)
+    ia, ib = chart_integrands(S)
     a = np.linspace(box.a0, box.a1, grid)
     b = np.linspace(box.b0, box.b1, grid)
-    Pv, Qv = sample(P.f, a), sample(Q.f, b)
+    Pv, Qv = sample(ia.square, a), sample(ib.square, b)
     thr = EPS_CLS * (1.0 + max(float(np.max(np.abs(Pv))), float(np.max(np.abs(Qv)))))
     if float(np.min(Pv)) <= thr:
         i = int(np.argmin(Pv))
@@ -297,8 +287,8 @@ def canonize(
             f"at b = {b[i]:.6g}"
         )
 
-    sminus = Map1D.from_quadrature(_quartic_root(P), box.a0, box.a1, base.p, tol)
-    splus = Map1D.from_quadrature(_quartic_root(Q), box.b0, box.b1, base.m, tol)
+    sminus = Map1D.from_quadrature(ia, box.a0, box.a1, base.p, tol)
+    splus = Map1D.from_quadrature(ib, box.b0, box.b1, base.m, tol)
     return CanonicalChart(sminus=sminus, splus=splus, base=base)
 
 
@@ -321,9 +311,9 @@ def verify_canonical(S: SurfacePatch, chart: CanonicalChart, grid: int = 65) -> 
     from canonize, dfwd is the integrand itself.
     """
     worst = 0.0
-    for sq, m in zip(axis_squares(S), (chart.sminus, chart.splus)):
+    for fn, m in zip(chart_integrands(S), (chart.sminus, chart.splus)):
         x = np.linspace(m.lo, m.hi, grid)
-        worst = max(worst, float(np.max(np.abs(sample(sq.f, x) / m.dfwd(x) ** 4 - 1.0))))
+        worst = max(worst, float(np.max(np.abs(sample(fn.square, x) / m.dfwd(x) ** 4 - 1.0))))
         half = 0.5 * np.diff(x)[:, None]
         mid = 0.5 * (x[1:] + x[:-1])[:, None]
         integral = half[:, 0] * (m.dfwd(mid + half * _GL_X) @ _GL_W)

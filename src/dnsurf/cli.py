@@ -9,10 +9,18 @@ Surface specs are JSON files with expression strings:
 Domains are stored internally in null coordinates (a, b) = (u - v, u + v);
 a {"u": [...], "v": [...]} box is converted to the enclosing null box with
 a warning on stderr.  A --grid WxH needs w, h >= 2 and at most
-MAX_GRID_POINTS = 2^22 points in all.  Exit codes: 0 success, 2 validation
-failure (a bad grid or a non-finite domain bound included), 3 parse failure
-(a non-finite number literal included), 4 numeric failure (quadrature /
-degeneracy).
+MAX_GRID_POINTS = 2^22 points in all.
+
+family writes the spec that the family.*_exprs transform makes from the
+parsed expressions, and its printed residual is measured on the surface
+built from that same spec.
+
+Exit codes: 0 success; 2 validation failure, malformed input included: a
+bad grid, --base, --project, --theta or --k, a spec or motion file that is
+not UTF-8 or not a JSON object, a psi entry that is not a string, a
+non-integer n, a domain range that is not two finite numbers, a motion
+entry that is not a finite number; 3 parse failure (a non-finite number
+literal included); 4 numeric failure (quadrature / degeneracy).
 """
 
 from __future__ import annotations
@@ -67,28 +75,52 @@ def _fmt(x: float) -> str:
 
 # -- spec loading --------------------------------------------------------
 
+def _read_json_object(path: str, error):
+    """The JSON object in the UTF-8 file at path; raises error otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def load_spec(path: str):
-    """Read a SurfaceSpec JSON file; returns (name, exprs, box, n)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    """Read a SurfaceSpec JSON file; returns (name, exprs, box)."""
+    spec = _read_json_object(path, SurfaceConditionError)
     name = spec.get("name", path)
     psi_texts = spec["psi"]
-    n = int(spec.get("n", len(psi_texts)))
-    if n != len(psi_texts):
+    if not isinstance(psi_texts, list) or not all(isinstance(t, str) for t in psi_texts):
+        raise SurfaceConditionError(f"spec {name}: psi must be a list of expression strings")
+    n = spec.get("n", len(psi_texts))
+    if not isinstance(n, int) or n != len(psi_texts):
         raise SurfaceConditionError(
-            f"spec {name}: n = {n} but {len(psi_texts)} psi components"
+            f"spec {name}: n = {n!r} but {len(psi_texts)} psi components"
         )
     exprs = [sexpr.parse(text) for text in psi_texts]
     box = _load_box(spec["domain"], name)
-    return name, psi_texts, exprs, box
+    return name, exprs, box
+
+
+def _load_range(dom: dict, key: str, name: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(x) for x in dom[key])
+    except (TypeError, ValueError):
+        raise SurfaceConditionError(
+            f"spec {name}: domain {key} needs two numbers, got {dom[key]!r}"
+        ) from None
+    return lo, hi
 
 
 def _load_box(dom: dict, name: str) -> Box:
+    if not isinstance(dom, dict):
+        raise SurfaceConditionError(f"spec {name}: domain must be a JSON object")
     if "a" in dom and "b" in dom:
-        (a0, a1), (b0, b1) = dom["a"], dom["b"]
-        return Box(float(a0), float(a1), float(b0), float(b1))
+        return Box(*_load_range(dom, "a", name), *_load_range(dom, "b", name))
     if "u" in dom and "v" in dom:
-        (u0, u1), (v0, v1) = dom["u"], dom["v"]
+        (u0, u1), (v0, v1) = _load_range(dom, "u", name), _load_range(dom, "v", name)
         print(
             f"warning: spec {name}: converting (u, v) box to the enclosing "
             f"null box (a, b)",
@@ -99,15 +131,15 @@ def _load_box(dom: dict, name: str) -> Box:
 
 
 def build_surface(path: str):
-    name, texts, exprs, box = load_spec(path)
-    psi = HoloCurve.from_exprs(exprs, box)
-    return name, texts, geom.make_surface(psi)
+    """(name, exprs, surface) of the spec at path."""
+    name, exprs, box = load_spec(path)
+    return name, exprs, geom.make_surface(HoloCurve.from_exprs(exprs, box))
 
 
 # -- commands ------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    name, _texts, S = build_surface(args.spec)
+    name, _exprs, S = build_surface(args.spec)
     rec = S.validation
     g = geom.grid_quantities(S, 33, 33, richardson=False)
     degenerate = int(np.sum(g["class"] == 0))
@@ -145,7 +177,7 @@ def _inset_box(box: Box, margin: float) -> Box:
 
 def cmd_invariants(args) -> int:
     w, h = _parse_grid(args.grid)
-    name, _texts, S = build_surface(args.spec)
+    name, _exprs, S = build_surface(args.spec)
     # inset so the laplacian stencil keeps its margin at every grid point
     box = _inset_box(S.domain, 2.0 * geom.H_FD)
     g = geom.grid_quantities(S, w, h, box=box)
@@ -167,9 +199,12 @@ def cmd_invariants(args) -> int:
 
 def cmd_canonize(args) -> int:
     w, h = _parse_grid(args.grid)
-    name, _texts, S = build_surface(args.spec)
+    name, _exprs, S = build_surface(args.spec)
     if args.base:
-        u, v = (float(x) for x in args.base.split(","))
+        try:
+            u, v = (float(x) for x in args.base.split(","))
+        except ValueError:
+            raise GridError(f"bad --base {args.base!r}; expected u,v") from None
         base = DNum(u, v)
     else:
         base = None
@@ -218,61 +253,51 @@ def _derived_path(path: str, suffix: str) -> str:
 
 
 def cmd_family(args) -> int:
-    name, texts, S = build_surface(args.spec)
-    exprs = [sexpr.parse(t) for t in texts]
+    name, exprs, S = build_surface(args.spec)
     box = S.domain
     op = args.op
     if op == "associated":
         theta = args.theta
-        coeff = sexpr.add(
-            sexpr.Num(math.cosh(theta)),
-            sexpr.mul(sexpr.Num(math.sinh(theta)), sexpr.Jay()),
-        )
-        new_exprs = [sexpr.mul(coeff, e) for e in exprs]
-        new_box = box
-        derived = family.associated_surface(S, theta)
-        summary = _grid_E_diff(S, derived, box)
-        summary_line = f"max |E_theta - E|: {_fmt(summary)}"
+        if not math.isfinite(theta):
+            raise SurfaceConditionError("associated needs a finite --theta")
+        try:
+            new_exprs, new_box = family.associated_exprs(exprs, box, theta)
+        except OverflowError:
+            raise SurfaceConditionError(f"--theta {theta:g} overflows cosh(theta)") from None
         new_name = f"{name}-associated-{theta:g}"
     elif op == "conjugate":
-        jt = sexpr.mul(sexpr.Jay(), sexpr.Var())
-        new_exprs = [sexpr.mul(sexpr.Jay(), sexpr.subst_t(e, jt)) for e in exprs]
-        new_box = Box(-box.a1, -box.a0, box.b0, box.b1)
-        derived = family.conjugate_surface(S)
-        summary = _conjugate_E_sum(S, derived, box)
-        summary_line = f"max |E^ + E|: {_fmt(summary)}"
+        new_exprs, new_box = family.conjugate_exprs(exprs, box)
         new_name = f"{name}-conjugate"
     elif op == "homothety":
         k = args.k
-        if k is None or k <= 0:
-            raise SurfaceConditionError("homothety needs --k > 0")
-        new_exprs = [sexpr.mul(sexpr.Num(k), e) for e in exprs]
-        new_box = box
-        derived = family.homothety(S, k)
-        summary = _homothety_E_diff(S, derived, box, k)
-        summary_line = f"max |E^ - k^2 E|: {_fmt(summary)}"
+        if k is None or not 0 < k < math.inf:
+            raise SurfaceConditionError("homothety needs a finite --k > 0")
+        new_exprs, new_box = family.homothety_exprs(exprs, box, k)
         new_name = f"{name}-homothety-{k:g}"
     elif op == "motion":
         if not args.motion:
             raise MotionError("motion op needs --motion matrix-file")
-        with open(args.motion, "r", encoding="utf-8") as fh:
-            mdata = json.load(fh)
-        M = family.Motion(np.asarray(mdata["A"], float), np.asarray(mdata["b"], float))
-        if M.n != S.n:
-            raise MotionError(f"motion dimension {M.n} != surface dimension {S.n}")
-        new_exprs = []
-        for row, bk in zip(M.A, M.b):
-            acc = sexpr.Num(float(bk))
-            for coeff, e in zip(row, exprs):
-                acc = sexpr.add(acc, sexpr.mul(sexpr.Num(float(coeff)), e))
-            new_exprs.append(acc)
-        new_box = box
-        derived = family.apply_motion(S, M)
-        summary = _grid_E_diff(S, derived, box)
-        summary_line = f"max |E^ - E|: {_fmt(summary)}"
+        mdata = _read_json_object(args.motion, MotionError)
+        M = family.Motion(mdata["A"], mdata["b"])
+        new_exprs, new_box = family.motion_exprs(exprs, box, M)
         new_name = f"{name}-motion"
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(op)
+
+    # the residual measures the surface of the spec that is written; E on
+    # the 33x33 grids of both domains, index order [b, a]
+    derived = geom.make_surface(HoloCurve.from_exprs(new_exprs, new_box))
+    E = geom.grid_quantities(S, 33, 33, richardson=False, box=box)["E"]
+    E_new = geom.grid_quantities(derived, 33, 33, richardson=False, box=new_box)["E"]
+    if op == "conjugate":
+        # stored re-oriented through s = j t, which flips du^2 - dv^2 and
+        # the a axis: the same-orientation energy at t is -E_new(j t)
+        label, diff = "E^ + E", E_new[:, ::-1] - E
+    elif op == "homothety":
+        label, diff = "E^ - k^2 E", E_new - k * k * E
+    else:
+        label = "E_theta - E" if op == "associated" else "E^ - E"
+        diff = E_new - E
 
     out_spec = {
         "name": new_name,
@@ -286,41 +311,18 @@ def cmd_family(args) -> int:
     _write_text(args.out, json.dumps(out_spec, indent=2, sort_keys=True) + "\n")
     print(f"surface: {name}")
     print(f"operation: {op}")
-    print(summary_line)
+    print(f"max |{label}|: {_fmt(float(np.max(np.abs(diff))))}")
     print(f"derived spec: {args.out}")
     return EXIT_OK
 
 
-def _E_grid(S, box: Box, n: int = 33):
-    g = geom.grid_quantities(S, n, n, richardson=False, box=box)
-    return g["E"]
-
-
-def _grid_E_diff(S1, S2, box: Box) -> float:
-    return float(np.max(np.abs(_E_grid(S1, box) - _E_grid(S2, box))))
-
-
-def _homothety_E_diff(S1, S2, box: Box, k: float) -> float:
-    return float(np.max(np.abs(_E_grid(S2, box) - k * k * _E_grid(S1, box))))
-
-
-def _conjugate_E_sum(S1, S2, box: Box) -> float:
-    """Anti-isometry residual |E^ + E| at corresponding points.
-
-    The conjugate patch is stored re-oriented through s = j t, which flips
-    the sign of du^2 - dv^2; its same-orientation energy at the parameter t
-    is therefore -E2(j t), and the residual is |E1(t) - E2(j t)|.
-    """
-    refl = Box(-box.a1, -box.a0, box.b0, box.b1)
-    E1 = _E_grid(S1, box)          # index order [b, a]
-    E2 = _E_grid(S2, refl)         # a axis reversed relative to E1
-    return float(np.max(np.abs(E2[:, ::-1] - E1)))
-
-
 def cmd_mesh(args) -> int:
     w, h = _parse_grid(args.grid)
-    name, _texts, S = build_surface(args.spec)
-    idx = [int(x) for x in args.project.split(",")]
+    name, _exprs, S = build_surface(args.spec)
+    try:
+        idx = [int(x) for x in args.project.split(",")]
+    except ValueError:
+        idx = []  # reported as malformed just below
     if len(idx) != 3 or len(set(idx)) != 3 or any(i < 0 or i >= S.n for i in idx):
         raise GridError(f"--project needs 3 distinct indices below {S.n}")
     box = S.domain

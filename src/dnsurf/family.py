@@ -1,10 +1,14 @@
 """Conjugate surface, associated family, motions, homotheties, and the
 transport of canonical charts under each construction.
 
-All constructions act on the factored null components of Psi, so no
-resampling or interpolation is involved: the conjugate surface reflects
-the q-axis, the associated family scales the two axes by e^{-theta} and
-e^{theta}, and motions act componentwise on the curve.
+Each construction is one expression transform, *_exprs(exprs, box, ...)
+-> (new_exprs, new_box), on the expressions of Psi and their null box.
+The CLI applies it to the expressions of a spec; conjugate_surface,
+associated_surface, homothety and apply_motion apply it to the null-axis
+expressions of a patch.  So no resampling or interpolation is involved:
+the conjugate surface reflects the q-axis, the associated family scales
+the two axes by e^{-theta} and e^{theta}, and motions act componentwise
+on the curve.
 """
 
 from __future__ import annotations
@@ -14,19 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sexpr
 from .canon import CanonicalChart, map_reflect_input, map_scale_output
 from .dnum import DNum
 from .errors import MotionError
 from .geom import SurfacePatch, make_surface
-from .holo import (
-    Box,
-    HoloCurve,
-    HoloMap,
-    fn_affine_precompose,
-    fn_constant,
-    fn_linear_combo,
-    fn_scale,
-)
+from .holo import Box, HoloCurve, HoloMap, RealFn1
 
 #: Residual tolerance for membership of A in O(R^n_1).
 MOTION_TOL = 1e-10
@@ -40,10 +37,15 @@ class Motion:
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        try:
+            A = np.asarray(self.A, dtype=float)
+            b = np.asarray(self.b, dtype=float)
+        except (TypeError, ValueError):
+            raise MotionError("motion A and b must be arrays of numbers") from None
         if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
             raise MotionError(f"motion shapes {A.shape}, {b.shape} are inconsistent")
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise MotionError("motion entries must be finite")
         eta = np.diag([-1.0] + [1.0] * (A.shape[0] - 1))
         residual = float(np.max(np.abs(A.T @ eta @ A - eta)))
         if residual > MOTION_TOL:
@@ -70,19 +72,62 @@ class Motion:
         return cls(A, np.zeros(n))
 
 
+def conjugate_exprs(exprs, box: Box):
+    """The harmonic conjugate Psi^(s) = j Psi(j s) and its domain jD."""
+    jt = sexpr.mul(sexpr.Jay(), sexpr.Var())
+    new_exprs = [sexpr.mul(sexpr.Jay(), sexpr.subst_t(e, jt)) for e in exprs]
+    return new_exprs, Box(-box.a1, -box.a0, box.b0, box.b1)
+
+
+def associated_exprs(exprs, box: Box, theta: float):
+    """Psi_theta = e^{j theta} Psi = (cosh theta + j sinh theta) Psi."""
+    coeff = sexpr.add(
+        sexpr.Num(math.cosh(theta)),
+        sexpr.mul(sexpr.Num(math.sinh(theta)), sexpr.Jay()),
+    )
+    return [sexpr.mul(coeff, e) for e in exprs], box
+
+
+def homothety_exprs(exprs, box: Box, k: float):
+    """Psi^ = k Psi for k > 0."""
+    if k <= 0:
+        raise ValueError("homothety coefficient must be positive")
+    return [sexpr.mul(sexpr.Num(k), e) for e in exprs], box
+
+
+def motion_exprs(exprs, box: Box, M: Motion):
+    """Psi^ = A Psi + b, row by row."""
+    if M.n != len(exprs):
+        raise MotionError(f"motion dimension {M.n} != surface dimension {len(exprs)}")
+    new_exprs = []
+    for row, bk in zip(M.A, M.b):
+        acc = sexpr.Num(float(bk))
+        for coeff, e in zip(row, exprs):
+            acc = sexpr.add(acc, sexpr.mul(sexpr.Num(float(coeff)), e))
+        new_exprs.append(acc)
+    return new_exprs, box
+
+
+def _per_axis(S: SurfacePatch, transform, *args) -> SurfacePatch:
+    """Apply an expression transform to the null-axis expressions of Psi,
+    lower each result onto its axis (j = -1 on a, +1 on b) and validate."""
+    comps = S.psi.components
+    if any(c.fminus.expr is None or c.fplus.expr is None for c in comps):
+        raise ValueError("family constructions need Psi components with expressions")
+    minus, box = transform([c.fminus.expr for c in comps], S.domain, *args)
+    plus, _ = transform([c.fplus.expr for c in comps], S.domain, *args)
+    lower = [(RealFn1.from_expr(sexpr.subst_j(m, -1.0)), RealFn1.from_expr(sexpr.subst_j(p, 1.0)))
+             for m, p in zip(minus, plus)]
+    return make_surface(HoloCurve(tuple(HoloMap(fm, fp, box) for fm, fp in lower)))
+
+
 def conjugate_surface(S: SurfacePatch) -> SurfacePatch:
     """The harmonic-conjugate surface Psi^(s) = j Psi(j s) on the domain jD.
 
     In null components: fminus^(a) = -fminus(-a), fplus^ = fplus; the map
     x -> y is an anti-isometry (E^ = -E at corresponding points).
     """
-    box = S.domain
-    new_box = Box(-box.a1, -box.a0, box.b0, box.b1)
-    comps = []
-    for c in S.psi.components:
-        fm = fn_scale(fn_affine_precompose(c.fminus, -1.0), -1.0)
-        comps.append(HoloMap(fm, c.fplus, new_box))
-    return make_surface(HoloCurve(tuple(comps)))
+    return _per_axis(S, conjugate_exprs)
 
 
 def associated_surface(S: SurfacePatch, theta: float) -> SurfacePatch:
@@ -90,39 +135,18 @@ def associated_surface(S: SurfacePatch, theta: float) -> SurfacePatch:
 
     An isometry for every theta (E_theta = E identically).
     """
-    em, ep = math.exp(-theta), math.exp(theta)
-    comps = tuple(
-        HoloMap(fn_scale(c.fminus, em), fn_scale(c.fplus, ep), S.domain)
-        for c in S.psi.components
-    )
-    return make_surface(HoloCurve(comps))
+    return _per_axis(S, associated_exprs, theta)
 
 
 def apply_motion(S: SurfacePatch, M: Motion) -> SurfacePatch:
     """Psi^ = A Psi + b componentwise; all curvature invariants and point
     classes are unchanged at corresponding points."""
-    if M.n != S.n:
-        raise MotionError(f"motion dimension {M.n} != surface dimension {S.n}")
-    comps = []
-    for k in range(S.n):
-        pairs_m = [(M.A[k, i], S.psi.components[i].fminus) for i in range(S.n)]
-        pairs_p = [(M.A[k, i], S.psi.components[i].fplus) for i in range(S.n)]
-        shift = (M.b[k], fn_constant(1.0))
-        fm = fn_linear_combo(pairs_m + [shift])
-        fp = fn_linear_combo(pairs_p + [shift])
-        comps.append(HoloMap(fm, fp, S.domain))
-    return make_surface(HoloCurve(tuple(comps)))
+    return _per_axis(S, motion_exprs, M)
 
 
 def homothety(S: SurfacePatch, k: float) -> SurfacePatch:
     """Psi^ = k Psi for k > 0; E^ = k^2 E and Phi^'^2 = k^2 Phi'^2."""
-    if k <= 0:
-        raise ValueError("homothety coefficient must be positive")
-    comps = tuple(
-        HoloMap(fn_scale(c.fminus, k), fn_scale(c.fplus, k), S.domain)
-        for c in S.psi.components
-    )
-    return make_surface(HoloCurve(comps))
+    return _per_axis(S, homothety_exprs, k)
 
 
 def transport_chart(

@@ -76,48 +76,6 @@ def sample(f, x):
     return float(y) if y.ndim == 0 else y
 
 
-def fn_constant(c: float) -> RealFn1:
-    return RealFn1.from_expr(sexpr.Num(float(c)))
-
-
-def fn_scale(fn: RealFn1, c: float) -> RealFn1:
-    """c * fn(x)."""
-    if fn.expr is not None:
-        return RealFn1.from_expr(sexpr.mul(sexpr.Num(float(c)), fn.expr))
-    return RealFn1(
-        f=lambda x: c * fn.f(x),
-        df=lambda x: c * fn.df(x),
-        d2f=lambda x: c * fn.d2f(x),
-    )
-
-
-def fn_affine_precompose(fn: RealFn1, k: float, c: float = 0.0) -> RealFn1:
-    """x -> fn(k*x + c), with chain-rule derivatives."""
-    if fn.expr is not None:
-        inner = sexpr.add(sexpr.mul(sexpr.Num(float(k)), sexpr.Var()), sexpr.Num(float(c)))
-        return RealFn1.from_expr(sexpr.subst_t(fn.expr, inner))
-    return RealFn1(
-        f=lambda x: fn.f(k * x + c),
-        df=lambda x: k * fn.df(k * x + c),
-        d2f=lambda x: k * k * fn.d2f(k * x + c),
-    )
-
-
-def fn_linear_combo(pairs) -> RealFn1:
-    """sum of c_i * fn_i for (c, fn) pairs; symbolic when all terms are."""
-    pairs = [(float(c), fn) for c, fn in pairs]
-    if all(fn.expr is not None for _, fn in pairs):
-        acc = sexpr.Num(0.0)
-        for c, fn in pairs:
-            acc = sexpr.add(acc, sexpr.mul(sexpr.Num(c), fn.expr))
-        return RealFn1.from_expr(acc)
-    return RealFn1(
-        f=lambda x: sum(c * fn.f(x) for c, fn in pairs),
-        df=lambda x: sum(c * fn.df(x) for c, fn in pairs),
-        d2f=lambda x: sum(c * fn.d2f(x) for c, fn in pairs),
-    )
-
-
 # -- domains -------------------------------------------------------------
 
 @dataclass(frozen=True)

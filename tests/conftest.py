@@ -1,6 +1,7 @@
 """Shared fixtures: the four-surface gallery and the boost motion."""
 
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -10,6 +11,11 @@ from dnsurf import cli, family, geom, holo, sexpr
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GALLERY = ROOT / "gallery"
+
+# subprocess tests run `python -m dnsurf.cli`; let them find the package too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+)
 
 
 def _load(name):

@@ -139,6 +139,74 @@ def test_family_homothety_folds_coefficients(tmp_path):
     assert spec["psi"] == ["4*t", "4*sin(t)", "-4*cos(t)"]
 
 
+def test_family_conjugate_golden_spec(tmp_path):
+    out = tmp_path / "c.json"
+    assert run_cli("family", GALLERY / "s1.json", "--op", "conjugate", "--out", out) == 0
+    spec = json.loads(out.read_text())
+    assert spec["psi"] == ["j*(j*t)", "j*sin(j*t)", "-j*cos(j*t)"]
+    assert spec["domain"] == {"a": [-0.0, 2.0], "b": [0.4, 2.0]}
+    assert '"a": [\n      -0.0,' in out.read_text()
+
+
+S1_SPEC = {"name": "s1", "n": 3, "psi": ["t", "sin(t)", "-cos(t)"],
+           "domain": {"a": [-2.0, 0.0], "b": [0.4, 2.0]}}
+
+
+def _write(path, data):
+    """data as given (bytes or text), or else as JSON text."""
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return path
+
+
+def _check_spec(**changes):
+    return lambda d: ["check", _write(d / "spec.json", {**S1_SPEC, **changes})]
+
+
+def _motion(text):
+    return lambda d: ["family", GALLERY / "s2.json", "--op", "motion", "--motion",
+                      _write(d / "m.json", text), "--out", d / "f.json"]
+
+
+#: Malformed input from outside the program, each a command line built in
+#: a scratch directory; every one must exit 2 with a validation error.
+MALFORMED = {
+    "base-one-value": lambda d: ["canonize", GALLERY / "s1.json", "--base", "0.3",
+                                 "--out", d / "r.json"],
+    "base-not-numbers": lambda d: ["canonize", GALLERY / "s1.json", "--base", "x,y",
+                                   "--out", d / "r.json"],
+    "project-not-integer": lambda d: ["mesh", GALLERY / "s1.json", "--project", "0,1,x",
+                                      "--out", d / "m.obj"],
+    "spec-json-list": lambda d: ["check", _write(d / "spec.json", [S1_SPEC])],
+    "spec-not-utf8": lambda d: ["check", _write(d / "spec.json",
+                                                json.dumps(S1_SPEC).encode("utf-16"))],
+    "n-not-integer": _check_spec(n="three"),
+    "psi-entry-not-string": _check_spec(psi=["t", 1, "-cos(t)"]),
+    "domain-ab-three-values": _check_spec(domain={"a": [-2.0, -1.0, 0.0], "b": [0.4, 2.0]}),
+    "domain-ab-bound-not-number": _check_spec(domain={"a": [-2.0, 0.0], "b": ["x", 2.0]}),
+    "domain-uv-three-values": _check_spec(domain={"u": [-0.3, 0.0, 0.3], "v": [0.7, 1.3]}),
+    "domain-uv-bound-not-number": _check_spec(domain={"u": [-0.3, 0.3], "v": [None, 1.3]}),
+    "motion-entry-not-number": _motion('{"A": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,"x"]],'
+                                       ' "b": [0,0,0,0]}'),
+    "motion-entry-infinite": _motion('{"A": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],'
+                                     ' "b": [Infinity,0,0,0]}'),
+    "theta-overflows-cosh": lambda d: ["family", GALLERY / "s1.json", "--op", "associated",
+                                       "--theta", "800", "--out", d / "f.json"],
+    "theta-not-finite": lambda d: ["family", GALLERY / "s1.json", "--op", "associated",
+                                   "--theta", "nan", "--out", d / "f.json"],
+    "k-not-finite": lambda d: ["family", GALLERY / "s1.json", "--op", "homothety",
+                               "--k", "inf", "--out", d / "f.json"],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_is_validation_error(case, tmp_path, capsys):
+    assert run_cli(*MALFORMED[case](tmp_path)) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_mesh_counts(tmp_path):
     out = tmp_path / "m.obj"
     assert run_cli("mesh", GALLERY / "s1.json", "--grid", "2x2", "--out", out) == 0

@@ -1,9 +1,12 @@
 """Conjugate, associated, motion, homothety, and chart transport."""
 
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 
-from dnsurf import canon, family, geom
+from dnsurf import canon, cli, family, geom, holo
 from dnsurf.dnum import DNum
 from dnsurf.errors import MotionError
 from dnsurf.family import Motion, apply_motion, associated_surface, conjugate_surface, homothety, transport_chart
@@ -21,6 +24,14 @@ def test_motion_validation():
         Motion(np.eye(3) * 2.0, np.zeros(3))
     with pytest.raises(MotionError, match="inconsistent"):
         Motion(np.eye(3), np.zeros(4))
+
+
+def test_motion_rejects_non_numeric_entries():
+    """An infinite shift would otherwise be written into a spec as 'inf'."""
+    with pytest.raises(MotionError, match="finite"):
+        Motion(np.eye(3), np.array([np.inf, 0.0, 0.0]))
+    with pytest.raises(MotionError, match="numbers"):
+        Motion([[1, 0, 0], [0, 1, 0], [0, 0, "x"]], np.zeros(3))
 
 
 def test_improper_motion_allowed():
@@ -114,8 +125,8 @@ def test_homothety_scaling(s1):
     """k = 4: E^ = 16 E, Phi^'^2 = 16, and canonization gives t = s/2."""
     S = homothety(s1, 4.0)
     np.testing.assert_allclose(_E(S), 16.0 * _E(s1), rtol=1e-12)
-    P, Q = canon.axis_squares(S)
-    np.testing.assert_allclose(P.f(-0.5), 16.0, rtol=1e-12)
+    P_root, _ = canon.chart_integrands(S)
+    np.testing.assert_allclose(P_root.f(-0.5) ** 4, 16.0, rtol=1e-12)
     chart = canon.canonize(S, DNum.from_null(-1.0, 1.2))
     # t - base = s / 2
     for x in (-1.5, -0.5):
@@ -142,9 +153,53 @@ def test_degeneracy_transport(s3, s4):
             np.clip(t3.p, box.a0, box.a1), np.clip(t3.m, box.b0, box.b1)
         )
         assert geom.classify_point(S, t) is geom.PointClass.DEGENERATE
+    # s4 exists only per null axis, so it drives the per-axis route alone
     t4 = DNum.from_null(1.5, 0.0)
-    S = homothety(s4, 3.0)
-    assert geom.classify_point(S, t4) is geom.PointClass.DEGENERATE
+    for S, t in (
+        (homothety(s4, 3.0), t4),
+        (conjugate_surface(s4), DNum.from_null(-t4.p, t4.m)),
+        (associated_surface(s4, 0.4), t4),
+        (apply_motion(s4, Motion.boost(3, 0, 1, 0.2)), t4),
+    ):
+        assert geom.classify_point(S, t) is geom.PointClass.DEGENERATE
+
+
+def test_per_axis_route_matches_spec_route(s1, s2, boost):
+    """family.<op>(S), which transforms the null-axis expressions, agrees
+    with the surface built from the transformed spec expressions."""
+    gallery = pathlib.Path(__file__).resolve().parents[1] / "gallery"
+    exprs = {name: cli.load_spec(str(gallery / f"{name}.json"))[1] for name in ("s1", "s2")}
+    cases = [(apply_motion(s2, boost), family.motion_exprs(exprs["s2"], s2.domain, boost))]
+    for name, S in (("s1", s1), ("s2", s2)):
+        box = S.domain
+        cases += [
+            (conjugate_surface(S), family.conjugate_exprs(exprs[name], box)),
+            (associated_surface(S, 0.7), family.associated_exprs(exprs[name], box, 0.7)),
+            (homothety(S, 2.5), family.homothety_exprs(exprs[name], box, 2.5)),
+        ]
+    for per_axis, (new_exprs, new_box) in cases:
+        spec_route = geom.make_surface(holo.HoloCurve.from_exprs(new_exprs, new_box))
+        assert per_axis.domain == new_box
+        g1 = grid_quantities(per_axis, 17, 17, richardson=False)
+        g2 = grid_quantities(spec_route, 17, 17, richardson=False)
+        for key in ("E", "K_biv"):
+            np.testing.assert_allclose(g1[key], g2[key], rtol=1e-12, atol=0)
+
+
+def test_constructions_need_expressions(s1):
+    """A Psi component without an expression, as HoloMap.primitive's
+    quadrature fallback builds, is refused by every construction."""
+    c = s1.psi.components[0]
+    bare = holo.HoloMap(holo.RealFn1(c.fminus.f, c.fminus.df, c.fminus.d2f), c.fplus, c.domain)
+    S = dataclasses.replace(s1, psi=holo.HoloCurve((bare, *s1.psi.components[1:])))
+    for construct in (
+        conjugate_surface,
+        lambda S: associated_surface(S, 0.3),
+        lambda S: homothety(S, 2.0),
+        lambda S: apply_motion(S, Motion.identity(3)),
+    ):
+        with pytest.raises(ValueError, match="expressions"):
+            construct(S)
 
 
 def test_transport_chart_all_constructions(s2, boost):
