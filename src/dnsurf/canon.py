@@ -77,8 +77,8 @@ class Map1D:
     ) -> "Map1D":
         """Cumulative integral of a positive integrand fn on [lo, hi],
         anchored to 0 at x0, with node count doubled until the composite
-        Simpson totals converge to tol.  fn is read through fn.f and its
-        slope fn.df (a RealFn1 or an AxisIntegrand)."""
+        Simpson totals converge to tol.  fn is an AxisIntegrand or a
+        RealFn1, read through its values fn.f and slopes fn.df."""
         n = _MIN_NODES
         prev_total = None
         while True:

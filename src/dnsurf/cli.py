@@ -59,6 +59,9 @@ EXIT_NUMERIC = 4
 #: float arrays of this many points at once.
 MAX_GRID_POINTS = 1 << 22
 
+#: Largest |theta| whose e^{|theta|} is a finite float.
+_MAX_EXP_ARG = math.log(sys.float_info.max)
+
 _ROW6 = ",".join(["%.17g"] * 6)
 #: One invariants CSV line per point-class code.  A degenerate point has
 #: empty nu, mu and kappa cells: %.0s consumes a value and prints nothing.
@@ -258,12 +261,11 @@ def cmd_family(args) -> int:
     op = args.op
     if op == "associated":
         theta = args.theta
-        if not math.isfinite(theta):
-            raise SurfaceConditionError("associated needs a finite --theta")
-        try:
-            new_exprs, new_box = family.associated_exprs(exprs, box, theta)
-        except OverflowError:
-            raise SurfaceConditionError(f"--theta {theta:g} overflows cosh(theta)") from None
+        if not abs(theta) <= _MAX_EXP_ARG:  # also refuses nan
+            raise SurfaceConditionError(
+                f"associated needs a finite --theta with e^|theta| finite, got {theta:g}"
+            )
+        new_exprs, new_box = family.associated_exprs(exprs, box, theta)
         new_name = f"{name}-associated-{theta:g}"
     elif op == "conjugate":
         new_exprs, new_box = family.conjugate_exprs(exprs, box)

@@ -80,11 +80,9 @@ def conjugate_exprs(exprs, box: Box):
 
 
 def associated_exprs(exprs, box: Box, theta: float):
-    """Psi_theta = e^{j theta} Psi = (cosh theta + j sinh theta) Psi."""
-    coeff = sexpr.add(
-        sexpr.Num(math.cosh(theta)),
-        sexpr.mul(sexpr.Num(math.sinh(theta)), sexpr.Jay()),
-    )
+    """Psi_theta = e^{j theta} Psi, written as exp(theta*j) so that j = -+1
+    lowers the coefficient exactly to e^{-theta} on a and e^{theta} on b."""
+    coeff = sexpr.App("exp", sexpr.mul(sexpr.Num(theta), sexpr.Jay()))
     return [sexpr.mul(coeff, e) for e in exprs], box
 
 
@@ -112,13 +110,12 @@ def _per_axis(S: SurfacePatch, transform, *args) -> SurfacePatch:
     """Apply an expression transform to the null-axis expressions of Psi,
     lower each result onto its axis (j = -1 on a, +1 on b) and validate."""
     comps = S.psi.components
-    if any(c.fminus.expr is None or c.fplus.expr is None for c in comps):
-        raise ValueError("family constructions need Psi components with expressions")
     minus, box = transform([c.fminus.expr for c in comps], S.domain, *args)
     plus, _ = transform([c.fplus.expr for c in comps], S.domain, *args)
-    lower = [(RealFn1.from_expr(sexpr.subst_j(m, -1.0)), RealFn1.from_expr(sexpr.subst_j(p, 1.0)))
-             for m, p in zip(minus, plus)]
-    return make_surface(HoloCurve(tuple(HoloMap(fm, fp, box) for fm, fp in lower)))
+    return make_surface(HoloCurve(tuple(
+        HoloMap(RealFn1(sexpr.subst_j(m, -1.0)), RealFn1(sexpr.subst_j(p, 1.0)), box)
+        for m, p in zip(minus, plus)
+    )))
 
 
 def conjugate_surface(S: SurfacePatch) -> SurfacePatch:

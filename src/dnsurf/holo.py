@@ -6,15 +6,15 @@ a pair of univariate real functions acting on the null coordinates
 
     f(a q + b qbar) = fminus(a) q + fplus(b) qbar.
 
-Every downstream computation (derivatives, primitives, root extraction,
-canonization) then reduces to independent 1-D problems on the two axes.
+Every downstream computation (derivatives, root extraction, canonization)
+then reduces to independent 1-D problems on the two axes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -23,47 +23,26 @@ from .dnum import DNum
 from .errors import GridError, OutOfDomainError
 from .mink import DVec
 
-#: Step for the finite-difference fallback derivative of callable-backed fns.
-_FD_H = 1e-6
-
 
 @dataclass(frozen=True)
 class RealFn1:
-    """A univariate real function with first and second derivative handles.
+    """A univariate real function given by a j-free expression in t.
 
-    When ``expr`` is present the derivatives are exact symbolic ones and
-    further differentiation stays symbolic; otherwise ``deriv`` falls back
-    to central finite differences for the new second derivative.
+    f and df evaluate the expression and its exact symbolic derivative;
+    the derivative expression is formed once, on first use.
     """
 
-    f: Callable[[float], float]
-    df: Callable[[float], float]
-    d2f: Callable[[float], float]
-    expr: Optional[sexpr.Expr] = None
+    expr: sexpr.Expr
 
-    @classmethod
-    def from_expr(cls, e: sexpr.Expr, jval: float = 1.0) -> "RealFn1":
-        e1 = sexpr.diff_t(e)
-        e2 = sexpr.diff_t(e1)
-        return cls(
-            f=lambda x, _e=e: sexpr.eval_expr(_e, x, jval),
-            df=lambda x, _e=e1: sexpr.eval_expr(_e, x, jval),
-            d2f=lambda x, _e=e2: sexpr.eval_expr(_e, x, jval),
-            expr=e,
-        )
+    def f(self, x):
+        return sexpr.eval_expr(self.expr, x)
 
-    def __call__(self, x):
-        return self.f(x)
+    def df(self, x):
+        return self.deriv.f(x)
 
+    @cached_property
     def deriv(self) -> "RealFn1":
-        if self.expr is not None:
-            return RealFn1.from_expr(sexpr.diff_t(self.expr))
-        d2 = self.d2f
-
-        def d3f(x, _d2=d2):
-            return (_d2(x + _FD_H) - _d2(x - _FD_H)) / (2.0 * _FD_H)
-
-        return RealFn1(f=self.df, df=self.d2f, d2f=d3f)
+        return RealFn1(sexpr.diff_t(self.expr))
 
 
 def sample(f, x):
@@ -118,8 +97,8 @@ class HoloMap:
     @classmethod
     def from_expr(cls, e: sexpr.Expr, domain: Box) -> "HoloMap":
         return cls(
-            fminus=RealFn1.from_expr(sexpr.subst_j(e, -1.0), jval=-1.0),
-            fplus=RealFn1.from_expr(sexpr.subst_j(e, 1.0), jval=1.0),
+            fminus=RealFn1(sexpr.subst_j(e, -1.0)),
+            fplus=RealFn1(sexpr.subst_j(e, 1.0)),
             domain=domain,
         )
 
@@ -131,41 +110,11 @@ class HoloMap:
         return DNum.from_null(self.fminus.f(t.p), self.fplus.f(t.m))
 
     def differentiate(self) -> "HoloMap":
-        return HoloMap(self.fminus.deriv(), self.fplus.deriv(), self.domain)
+        return HoloMap(self.fminus.deriv, self.fplus.deriv, self.domain)
 
     def conj(self) -> "HoloMap":
         """conj(f)(t) = conj(f(conj t)): swap null components and axes."""
         return HoloMap(self.fplus, self.fminus, self.domain.swapped())
-
-    def primitive(self, base: DNum) -> "HoloMap":
-        """F with F' = self and F(base) = 0.
-
-        Symbolic antiderivatives are used when the rules apply; otherwise
-        each null axis falls back to adaptive quadrature from the base
-        point (absolute tolerance 1e-12 per call).
-        """
-        self.domain.check(base)
-        return HoloMap(
-            _primitive_axis(self.fminus, base.p),
-            _primitive_axis(self.fplus, base.m),
-            self.domain,
-        )
-
-
-def _primitive_axis(fn: RealFn1, x0: float) -> RealFn1:
-    if fn.expr is not None:
-        F = sexpr.antiderivative(fn.expr)
-        if F is not None:
-            F0 = sexpr.eval_expr(F, x0)
-            return RealFn1.from_expr(sexpr.sub(F, sexpr.Num(float(F0))))
-
-    def F(x, _f=fn.f, _x0=x0):
-        from scipy.integrate import quad  # only this fallback needs scipy
-
-        val, _ = quad(_f, _x0, x, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return val
-
-    return RealFn1(f=F, df=fn.f, d2f=fn.df)
 
 
 @dataclass(frozen=True)
@@ -203,9 +152,6 @@ class HoloCurve:
 
     def conj(self) -> "HoloCurve":
         return HoloCurve(tuple(c.conj() for c in self.components))
-
-    def primitive(self, base: DNum) -> "HoloCurve":
-        return HoloCurve(tuple(c.primitive(base) for c in self.components))
 
 
 # -- sampled Cauchy-Riemann check ----------------------------------------

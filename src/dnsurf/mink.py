@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dnum import DNum, ZERO
+from .dnum import DNum
 from .errors import DimensionError
 
 MIN_DIM = 3
@@ -102,7 +102,3 @@ def wedge_normsq(a: DVec, b: DVec) -> float:
     """
     _check_dims(a, b)
     return normsq(a) * normsq(b) - dot(a.conj(), b).modsq()
-
-
-def zero_vec(n: int) -> DVec:
-    return DVec(tuple(ZERO for _ in range(n)))

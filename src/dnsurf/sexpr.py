@@ -412,119 +412,6 @@ def subst_t(e: Expr, repl: Expr) -> Expr:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def as_affine(e: Expr) -> tuple[float, float] | None:
-    """If e == k*t + c with constant k, c, return (k, c); else None."""
-    v = _const_value(e)
-    if v is not None:
-        return (0.0, v)
-    if isinstance(e, Var):
-        return (1.0, 0.0)
-    if isinstance(e, Neg):
-        kc = as_affine(e.arg)
-        return None if kc is None else (-kc[0], -kc[1])
-    if isinstance(e, Bin):
-        la, ra = as_affine(e.left), as_affine(e.right)
-        if la is None or ra is None:
-            return None
-        if e.op == "+":
-            return (la[0] + ra[0], la[1] + ra[1])
-        if e.op == "-":
-            return (la[0] - ra[0], la[1] - ra[1])
-        if e.op == "*":
-            if la[0] == 0.0:
-                return (la[1] * ra[0], la[1] * ra[1])
-            if ra[0] == 0.0:
-                return (ra[1] * la[0], ra[1] * la[1])
-            return None
-        if e.op == "/":
-            if ra[0] == 0.0 and ra[1] != 0.0:
-                return (la[0] / ra[1], la[1] / ra[1])
-            return None
-    return None
-
-
-def _const_value(e: Expr) -> float | None:
-    """Numeric value of a t-free, j-free expression, else None."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Pi):
-        return math.pi
-    if isinstance(e, (Var, Jay)):
-        return None
-    if isinstance(e, Neg):
-        v = _const_value(e.arg)
-        return None if v is None else -v
-    if isinstance(e, Bin):
-        a, b = _const_value(e.left), _const_value(e.right)
-        if a is None or b is None:
-            return None
-        if e.op == "/" and b == 0.0:
-            return None
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else None}[e.op]
-    if isinstance(e, Pow):
-        v = _const_value(e.base)
-        return None if v is None else v**e.exp
-    if isinstance(e, App):
-        v = _const_value(e.arg)
-        return None if v is None else float(_NP_FUNC[e.func](v))
-    return None
-
-
-_ANTIDERIV = {
-    "sin": lambda a: neg(App("cos", a)),
-    "cos": lambda a: App("sin", a),
-    "sinh": lambda a: App("cosh", a),
-    "cosh": lambda a: App("sinh", a),
-    "exp": lambda a: App("exp", a),
-}
-
-
-def antiderivative(e: Expr) -> Expr | None:
-    """Symbolic antiderivative of a j-free expression, or None.
-
-    Handles constants, powers of t, the entire elementary functions with
-    affine arguments, and linear combinations thereof.  Anything else falls
-    back to numeric quadrature in the caller.
-    """
-    v = _const_value(e)
-    if v is not None:
-        return mul(Num(v), Var())
-    if isinstance(e, Var):
-        return div(powi(Var(), 2), Num(2.0))
-    if isinstance(e, Neg):
-        F = antiderivative(e.arg)
-        return None if F is None else neg(F)
-    if isinstance(e, Pow) and isinstance(e.base, Var) and e.exp != -1:
-        return div(powi(Var(), e.exp + 1), Num(float(e.exp + 1)))
-    if isinstance(e, App):
-        kc = as_affine(e.arg)
-        if kc is not None and kc[0] != 0.0:
-            return div(_ANTIDERIV[e.func](e.arg), Num(kc[0]))
-        return None
-    if isinstance(e, Bin):
-        if e.op in "+-":
-            Fa, Fb = antiderivative(e.left), antiderivative(e.right)
-            if Fa is None or Fb is None:
-                return None
-            return add(Fa, Fb) if e.op == "+" else sub(Fa, Fb)
-        if e.op == "*":
-            ca, cb = _const_value(e.left), _const_value(e.right)
-            if ca is not None:
-                F = antiderivative(e.right)
-                return None if F is None else mul(Num(ca), F)
-            if cb is not None:
-                F = antiderivative(e.left)
-                return None if F is None else mul(Num(cb), F)
-            return None
-        if e.op == "/":
-            cb = _const_value(e.right)
-            if cb not in (None, 0.0):
-                F = antiderivative(e.left)
-                return None if F is None else div(F, Num(cb))
-            return None
-    return None
-
-
 # -- evaluation ----------------------------------------------------------
 
 def eval_expr(e: Expr, t, jval=None):

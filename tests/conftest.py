@@ -46,7 +46,7 @@ def s4():
     box = holo.Box(0.5, 2.5, -1.0, 1.0)
 
     def rf(text):
-        return holo.RealFn1.from_expr(sexpr.parse(text))
+        return holo.RealFn1(sexpr.parse(text))
 
     comps = (
         holo.HoloMap(rf("t"), rf("t"), box),

@@ -149,7 +149,7 @@ def _quadratic_fn():
     from dnsurf.holo import RealFn1
     from dnsurf.sexpr import parse
 
-    return RealFn1.from_expr(parse("1+t^2"))
+    return RealFn1(parse("1+t^2"))
 
 
 def test_derivative_stays_positive(s2):

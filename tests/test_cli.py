@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -72,10 +73,28 @@ def test_check_rejects_non_finite_domain(tmp_path, capsys):
     assert "non-finite domain box" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, dnsurf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert r.stdout.strip() == "[]"
+#: Blocks scipy (a None entry in sys.modules makes `import scipy` raise),
+#: then runs commands on the spec argv[1], writing into the directory argv[2].
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import dnsurf.cli
+spec, out = sys.argv[1:]
+rcs = [dnsurf.cli.main(argv) for argv in (
+    ["check", spec],
+    ["canonize", spec, "--out", out + "/c.json"],
+    ["family", spec, "--op", "conjugate", "--out", out + "/f.json"],
+)]
+print(rcs, sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
+"""
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    """Import and the check, canonize and conjugate commands run with
+    scipy made unimportable, and load no scipy module."""
+    r = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(GALLERY / "s1.json"), str(tmp_path)],
+                       capture_output=True, text=True, check=True)
+    assert r.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_canonize_degenerate_is_numeric_failure(tmp_path, capsys):
@@ -139,6 +158,17 @@ def test_family_homothety_folds_coefficients(tmp_path):
     assert spec["psi"] == ["4*t", "4*sin(t)", "-4*cos(t)"]
 
 
+def test_family_associated_is_isometry_at_theta_5(tmp_path, capsys):
+    """exp(theta*j) lowers to e^{-+theta} on each axis with no cancellation."""
+    out = tmp_path / "a.json"
+    assert run_cli("family", GALLERY / "s1.json", "--op", "associated", "--theta", "5",
+                   "--out", out) == 0
+    assert json.loads(out.read_text())["psi"][0] == "exp(5*j)*t"
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.startswith("max |E_theta - E|: ")
+    assert float(line.split(": ")[1]) <= 1e-15
+
+
 def test_family_conjugate_golden_spec(tmp_path):
     out = tmp_path / "c.json"
     assert run_cli("family", GALLERY / "s1.json", "--op", "conjugate", "--out", out) == 0
@@ -192,8 +222,8 @@ MALFORMED = {
                                        ' "b": [0,0,0,0]}'),
     "motion-entry-infinite": _motion('{"A": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],'
                                      ' "b": [Infinity,0,0,0]}'),
-    "theta-overflows-cosh": lambda d: ["family", GALLERY / "s1.json", "--op", "associated",
-                                       "--theta", "800", "--out", d / "f.json"],
+    "theta-overflows-exp": lambda d: ["family", GALLERY / "s1.json", "--op", "associated",
+                                      "--theta", "800", "--out", d / "f.json"],
     "theta-not-finite": lambda d: ["family", GALLERY / "s1.json", "--op", "associated",
                                    "--theta", "nan", "--out", d / "f.json"],
     "k-not-finite": lambda d: ["family", GALLERY / "s1.json", "--op", "homothety",
@@ -203,8 +233,11 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_input_is_validation_error(case, tmp_path, capsys):
-    assert run_cli(*MALFORMED[case](tmp_path)) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*MALFORMED[case](tmp_path)) == 2
     assert "validation error" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_mesh_counts(tmp_path):

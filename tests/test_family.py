@@ -1,6 +1,5 @@
 """Conjugate, associated, motion, homothety, and chart transport."""
 
-import dataclasses
 import pathlib
 
 import numpy as np
@@ -184,22 +183,6 @@ def test_per_axis_route_matches_spec_route(s1, s2, boost):
         g2 = grid_quantities(spec_route, 17, 17, richardson=False)
         for key in ("E", "K_biv"):
             np.testing.assert_allclose(g1[key], g2[key], rtol=1e-12, atol=0)
-
-
-def test_constructions_need_expressions(s1):
-    """A Psi component without an expression, as HoloMap.primitive's
-    quadrature fallback builds, is refused by every construction."""
-    c = s1.psi.components[0]
-    bare = holo.HoloMap(holo.RealFn1(c.fminus.f, c.fminus.df, c.fminus.d2f), c.fplus, c.domain)
-    S = dataclasses.replace(s1, psi=holo.HoloCurve((bare, *s1.psi.components[1:])))
-    for construct in (
-        conjugate_surface,
-        lambda S: associated_surface(S, 0.3),
-        lambda S: homothety(S, 2.0),
-        lambda S: apply_motion(S, Motion.identity(3)),
-    ):
-        with pytest.raises(ValueError, match="expressions"):
-            construct(S)
 
 
 def test_transport_chart_all_constructions(s2, boost):

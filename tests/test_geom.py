@@ -237,10 +237,10 @@ def test_mean_curvature_residual(s1):
     """Minimal sample ~0; x = (u, v, u^2) gives exactly 2; affine gives 0."""
     u = np.linspace(-0.3, 0.3, 128)
     v = np.linspace(0.7, 1.3, 128)
-    x = np.empty((v.size, u.size, 3))
-    for i, vv in enumerate(v):
-        for k, uu in enumerate(u):
-            x[i, k] = geom.point_data(s1, DNum(uu, vv)).x
+    U, V = np.meshgrid(u, v)
+    # x_k = Re Psi_k = (fminus_k(a) + fplus_k(b)) / 2 at a = u - v, b = u + v
+    x = np.stack([(c.fminus.f(U - V) + c.fplus.f(U + V)) / 2.0
+                  for c in s1.psi.components], axis=-1)
     assert geom.mean_curvature_residual(x, u[1] - u[0], v[1] - v[0]) <= 1e-3
 
     u = np.linspace(0, 1, 32)

@@ -44,48 +44,11 @@ def test_differentiate_symbolic():
 
 
 def test_derivatives_match_finite_differences():
-    f = RealFn1.from_expr(parse("sin(2*t)*exp(t/3)"))
+    f = RealFn1(parse("sin(2*t)*exp(t/3)"))
     h = 1e-4
     for x in np.linspace(-1, 1, 11):
         fd = (f.f(x + h) - f.f(x - h)) / (2 * h)
         assert abs(f.df(x) - fd) <= 5e-8 * max(1, abs(fd))
-
-
-def test_primitive_symbolic_and_quadrature():
-    """F' = f and F(base) = 0, on both the symbolic and quadrature paths."""
-    f = HoloMap.from_expr(parse("cos(t)"), BOX)
-    F = f.primitive(DNum(0.0, 0.0))
-    z = F.eval(DNum(1.0, 0.0))
-    np.testing.assert_allclose(z.re, math.sin(1.0), rtol=1e-12)
-    np.testing.assert_allclose(abs(F.eval(DNum(0.0, 0.0)).re), 0.0, atol=1e-14)
-
-    g = HoloMap.from_expr(parse("sin(t^2)"), BOX)  # no symbolic antiderivative
-    G = g.primitive(DNum(0.0, 0.0))
-    h = 1e-5
-    fd = (G.fminus.f(0.7 + h) - G.fminus.f(0.7 - h)) / (2 * h)
-    np.testing.assert_allclose(fd, g.fminus.f(0.7), rtol=1e-7)
-
-
-def test_primitive_constant():
-    f = HoloMap.from_expr(parse("2+j"), BOX)
-    F = f.primitive(DNum(0.0, 0.0))
-    z = F.eval(DNum(0.5, 0.25))
-    want = DNum(2, 1) * DNum(0.5, 0.25)
-    np.testing.assert_allclose([z.re, z.im], [want.re, want.im], rtol=1e-12)
-
-
-def test_differentiate_then_primitive_roundtrip():
-    rng = np.random.default_rng(13)
-    for text in ("t^3-t", "sin(t)", "exp(t/2)", "cosh(t)*2"):
-        f = HoloMap.from_expr(parse(text), BOX)
-        g = f.differentiate().primitive(DNum(0.0, 0.0))
-        f0 = f.eval(DNum(0.0, 0.0))
-        for _ in range(20):
-            t = DNum(*rng.uniform(-0.9, 0.9, 2))
-            want = f.eval(t) - f0
-            got = g.eval(t)
-            assert abs(got.re - want.re) <= 1e-10 * max(1, abs(want.re))
-            assert abs(got.im - want.im) <= 1e-10 * max(1, abs(want.im))
 
 
 def test_conjugation_law():

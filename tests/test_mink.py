@@ -7,7 +7,7 @@ import pytest
 
 from dnsurf.dnum import DNum
 from dnsurf.errors import DimensionError
-from dnsurf.mink import DVec, dot, normsq, wedge_normsq, zero_vec
+from dnsurf.mink import DVec, dot, normsq, wedge_normsq
 
 
 def _vec(*pairs):
@@ -36,14 +36,14 @@ def test_dot_examples():
 
 def test_dot_dimension_mismatch():
     with pytest.raises(DimensionError):
-        dot(zero_vec(3), zero_vec(4))
+        dot(DVec.from_reals([0.0] * 3), DVec.from_reals([0.0] * 4))
 
 
 def test_normsq_examples():
     assert normsq(_vec((5, 0), (4, 0), (0, 3))) == -18.0
     phi, _ = _circle_pair(math.pi / 2)
     np.testing.assert_allclose(normsq(phi), -2.0, atol=1e-15)
-    assert normsq(zero_vec(5)) == 0.0
+    assert normsq(DVec.from_reals([0.0] * 5)) == 0.0
 
 
 def test_normsq_equals_dot_for_real_vectors():

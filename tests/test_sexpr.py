@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from dnsurf import sexpr
 from dnsurf.dnum import DNum
 from dnsurf.errors import ParseError
 from dnsurf.holo import Box, HoloMap
@@ -109,14 +108,3 @@ def test_sin_at_jv():
     f = HoloMap.from_expr(parse("sin(t)"), Box(-2, 2, -2, 2))
     z = f.eval(DNum(0.0, 0.7))
     np.testing.assert_allclose([z.re, z.im], [0.0, math.sin(0.7)], atol=1e-15)
-
-
-def test_antiderivative_rules():
-    for text, x in (("cos(t)", 0.8), ("t^3", 1.1), ("2*sin(3*t)", 0.4), ("5", 2.0)):
-        e = parse(text)
-        F = sexpr.antiderivative(e)
-        assert F is not None
-        h = 1e-6
-        fd = (eval_expr(F, x + h) - eval_expr(F, x - h)) / (2 * h)
-        np.testing.assert_allclose(fd, eval_expr(e, x), rtol=1e-8, atol=1e-8)
-    assert sexpr.antiderivative(parse("sin(t^2)")) is None
