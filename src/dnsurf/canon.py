@@ -11,10 +11,14 @@ integrand's slope comes from the same samples.
 Each map is a composite Simpson integral on a node-doubling ladder,
 interpolated between nodes by a piecewise cubic Hermite polynomial whose
 node slopes are the integrand itself, so only numpy is needed.
+
+transport_chart carries a verified chart along the constructions of
+dnsurf.family without recomputing it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -219,6 +223,48 @@ class ChartRelation:
     conjugated: bool
     c: DNum
     residual: float
+
+
+def transport_chart(
+    chart: CanonicalChart, construction: str, param: float | None = None
+) -> CanonicalChart:
+    """Transport a verified canonical chart along a construction.
+
+    conjugate:      t = j s, realized by reflecting the q-axis map.
+    associated:     t = e^{-theta/2} s, axes scaled by e^{-+theta/2}.
+    homothety(k):   t = s / sqrt(k), both axes scaled by sqrt(k).
+    motion:         unchanged.
+    """
+    if construction == "conjugate":
+        new_base = DNum.from_null(-chart.base.p, chart.base.m)
+        return CanonicalChart(
+            sminus=map_reflect_input(chart.sminus),
+            splus=chart.splus,
+            base=new_base,
+            conjugate_output=chart.conjugate_output,
+        )
+    if construction == "associated":
+        if param is None:
+            raise ValueError("associated transport needs theta")
+        return CanonicalChart(
+            sminus=map_scale_output(chart.sminus, math.exp(-param / 2.0)),
+            splus=map_scale_output(chart.splus, math.exp(param / 2.0)),
+            base=chart.base,
+            conjugate_output=chart.conjugate_output,
+        )
+    if construction == "homothety":
+        if param is None or param <= 0:
+            raise ValueError("homothety transport needs k > 0")
+        r = math.sqrt(param)
+        return CanonicalChart(
+            sminus=map_scale_output(chart.sminus, r),
+            splus=map_scale_output(chart.splus, r),
+            base=chart.base,
+            conjugate_output=chart.conjugate_output,
+        )
+    if construction == "motion":
+        return chart
+    raise ValueError(f"unknown construction {construction!r}")
 
 
 # -- the chart integrand -------------------------------------------------

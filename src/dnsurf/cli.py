@@ -15,6 +15,10 @@ family writes the spec that the family.*_exprs transform makes from the
 parsed expressions, and its printed residual is measured on the surface
 built from that same spec.
 
+Each command imports only the modules it runs: every command needs
+errors, sexpr, holo and geom, which this module imports; canonize also
+imports canon, and family imports family.
+
 Exit codes: 0 success; 2 validation failure, malformed input included: a
 bad grid, --base, --project, --theta or --k, a spec or motion file that is
 not UTF-8 or not a JSON object, a psi entry that is not a string, a
@@ -32,8 +36,7 @@ import sys
 
 import numpy as np
 
-from . import canon, family, geom, sexpr
-from .dnum import DNum
+from . import geom, sexpr
 from .errors import (
     ChartModelError,
     DegeneratePointError,
@@ -201,6 +204,9 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_canonize(args) -> int:
+    from . import canon
+    from .dnum import DNum
+
     w, h = _parse_grid(args.grid)
     name, _exprs, S = build_surface(args.spec)
     if args.base:
@@ -256,6 +262,8 @@ def _derived_path(path: str, suffix: str) -> str:
 
 
 def cmd_family(args) -> int:
+    from . import family
+
     name, exprs, S = build_surface(args.spec)
     box = S.domain
     op = args.op

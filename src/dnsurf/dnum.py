@@ -12,11 +12,11 @@ from __future__ import annotations
 import enum
 import math
 import re as _re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonInvertibleError, RootDomainError
+from .value import Value, setfield
 
 #: Default relative tolerance used when deciding membership in the null cone.
 EPS_CLS = 1e-9
@@ -30,10 +30,12 @@ class DClass(enum.Enum):
     OTHER_INVERTIBLE = "other_invertible"
 
 
-@dataclass(frozen=True)
-class DNum:
-    re: float
-    im: float = 0.0
+class DNum(Value):
+    __slots__ = _fields = ("re", "im")
+
+    def __init__(self, re: float, im: float = 0.0):
+        setfield(self, "re", re)
+        setfield(self, "im", im)
 
     # -- null-basis view -------------------------------------------------
 

@@ -1,22 +1,22 @@
-"""Surface kernel: validation, curvature invariants, point classification,
-and the hyperbola of normal curvature.
+"""Surface kernel, batched: validation, the invariant sweep, the canonical
+grid and mesh positions, all from per-axis samples of the null axes.
 
 A surface patch is a holomorphic curve Psi with x = Re Psi, Phi = Psi',
 subject to the isothermal condition Phi^2 = 0 and the time-like condition
 E = ||Phi||^2 / 2 < 0.  All curvature formulas below are expressed through
-Phi and Phi' only.
+Phi and Phi' only.  Because Phi(a q + b qbar) = Phi-(a) q + Phi+(b) qbar,
+each quantity on an [b, a] grid combines samples taken once per axis
+(_null_samples, _outer_core); nothing here is evaluated point by point.
+
+The per-point route through DNum and mink.DVec, which the tests use as an
+independent reference, is dnsurf.pointwise.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import kernels
-from .dnum import DClass, DNum, EPS_CLS, classify
+from .dnum import DNum, EPS_CLS
 from .errors import (
     DegeneratePointError,
     GridError,
@@ -24,7 +24,7 @@ from .errors import (
     SurfaceConditionError,
 )
 from .holo import Box, HoloCurve, sample
-from .mink import DVec, dot, normsq, wedge_normsq
+from .value import Value, setfield
 
 #: Relative tolerance for the isothermal residual |Psi'^2| on the grid.
 ISOTHERMAL_TOL = 1e-9
@@ -36,56 +36,63 @@ EPS_K = 1e-8
 H_FD = 1e-3
 
 
-class PointClass(enum.Enum):
-    DEGENERATE = "degenerate"
-    SUPERCONFORMAL = "superconformal"
-    GENERIC = "generic"
+class ValidationRecord(Value):
+    """max_isothermal: the largest raw |Psi'^2| null component on the
+    validation grid; max_normsq: the largest ||Phi||^2, accepted iff < 0."""
+
+    __slots__ = _fields = (
+        "max_isothermal", "max_normsq", "worst_isothermal_at", "worst_normsq_at", "grid_shape",
+    )
+
+    def __init__(
+        self,
+        max_isothermal: float,
+        max_normsq: float,
+        worst_isothermal_at: tuple[float, float],
+        worst_normsq_at: tuple[float, float],
+        grid_shape: tuple[int, int],
+    ):
+        setfield(self, "max_isothermal", max_isothermal)
+        setfield(self, "max_normsq", max_normsq)
+        setfield(self, "worst_isothermal_at", worst_isothermal_at)
+        setfield(self, "worst_normsq_at", worst_normsq_at)
+        setfield(self, "grid_shape", grid_shape)
 
 
-@dataclass(frozen=True)
-class ValidationRecord:
-    max_isothermal: float
-    max_normsq: float  # max over grid of ||Phi||^2; accepted iff < 0
-    worst_isothermal_at: tuple[float, float]
-    worst_normsq_at: tuple[float, float]
-    grid_shape: tuple[int, int]
+class SurfacePatch(Value):
+    __slots__ = _fields = ("psi", "phi", "phi_prime", "domain", "validation")
 
-
-@dataclass(frozen=True)
-class SurfacePatch:
-    psi: HoloCurve
-    phi: HoloCurve
-    phi_prime: HoloCurve
-    domain: Box
-    validation: ValidationRecord
+    def __init__(
+        self,
+        psi: HoloCurve,
+        phi: HoloCurve,
+        phi_prime: HoloCurve,
+        domain: Box,
+        validation: ValidationRecord,
+    ):
+        setfield(self, "psi", psi)
+        setfield(self, "phi", phi)
+        setfield(self, "phi_prime", phi_prime)
+        setfield(self, "domain", domain)
+        setfield(self, "validation", validation)
 
     @property
     def n(self) -> int:
         return self.psi.n
 
 
-@dataclass(frozen=True)
-class PointData:
-    t: DNum
-    x: np.ndarray
-    phi: DVec
-    phi_prime: DVec
-    phi_perp: DVec
-    E: float
-    K: float
-    cls: PointClass
+#: The mink functions that geom bound before the per-point route moved to
+#: pointwise; the benchmark's tracer test (perfbench/tests) still reaches
+#: mink.dot as geom.dot.  mink is imported on first access, not with geom.
+_MINK_NAMES = ("DVec", "dot", "normsq", "wedge_normsq")
 
 
-@dataclass(frozen=True)
-class NormalHyperbola:
-    n1: np.ndarray | None
-    n2: np.ndarray | None
-    nu: float
-    mu: float
-    kappa: float
-    K: float
-    E: float
-    frame_degenerate: bool
+def __getattr__(name: str):
+    if name not in _MINK_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import mink
+
+    return getattr(mink, name)
 
 
 # -- vectorized grid evaluation ------------------------------------------
@@ -226,10 +233,14 @@ def grid_quantities(
 def make_surface(psi: HoloCurve, domain: Box | None = None, grid: int = 33) -> SurfacePatch:
     """Validate the minimal time-like conditions and build a SurfacePatch.
 
-    Checks on a grid x grid sample of the domain: |Psi'^2| <= 1e-9 * scale
-    (isothermal) and ||Psi'||^2 < 0 strictly (time-like); a NaN sample
-    fails them.  Rejection names the violated condition, the worst grid
-    point, and its residual.
+    Checks on a grid x grid sample of the domain, in this order: every
+    sample of Psi' is finite; each null axis's component of Psi'^2 is at
+    most ISOTHERMAL_TOL times that axis's Euclidean size max(1, sum
+    phi_k^2) (isothermal); ||Psi'||^2 < 0 strictly (time-like), which a
+    NaN fails.  Rejection names the violated condition, the worst grid
+    point, and its residual.  Sampling and the products that follow run
+    with numpy's overflow and invalid-value warnings off: what they would
+    warn of, an inf or a NaN, is refused here instead.
     Holomorphy holds by construction of HoloCurve.
     """
     domain = domain or psi.domain
@@ -237,23 +248,36 @@ def make_surface(psi: HoloCurve, domain: Box | None = None, grid: int = 33) -> S
     phi_prime = phi.differentiate()
     a = np.linspace(domain.a0, domain.a1, grid)
     b = np.linspace(domain.b0, domain.b1, grid)
-    fm, fp = _null_samples(phi, a, b)
-    norm_phi = _combo(fm, fp)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        fm, fp = _null_samples(phi, a, b)
+        finite = np.ones((grid, grid), dtype=bool)
+        for f in (*fm, *fp):
+            finite &= np.isfinite(f)
+        if not finite.all():
+            i, k = np.unravel_index(int(np.argmin(finite)), finite.shape)
+            raise SurfaceConditionError(
+                f"non-finite sample of Psi' at null point (a, b) = {(float(a[k]), float(b[i]))}"
+            )
+        norm_phi = _combo(fm, fp)
 
-    # Psi'^2 = Phi^2 in null components
-    sq_p = np.broadcast_to(_combo(fm, fm), (grid, grid))
-    sq_m = np.broadcast_to(_combo(fp, fp), (grid, grid))
-    iso = np.maximum(np.abs(sq_p), np.abs(sq_m))
-    scale = max(1.0, float(np.max(np.abs(norm_phi))))
+        # Psi'^2 = Phi^2 in null components, each against the Euclidean size
+        # of its own axis: the associated family scales the a axis by
+        # e^{-theta} and the b axis by e^{theta}, which ||Phi||^2 does not see
+        sq_p, sq_m = np.abs(_combo(fm, fm)), np.abs(_combo(fp, fp))
+        rel = np.broadcast_to(
+            np.maximum(sq_p / _axis_size(fm), sq_m / _axis_size(fp)), (grid, grid)
+        )
+    iso = np.broadcast_to(np.maximum(sq_p, sq_m), (grid, grid))
 
+    i, k = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    if not rel[i, k] <= ISOTHERMAL_TOL:  # a NaN residual fails too
+        raise SurfaceConditionError(
+            f"isothermal condition Psi'^2 = 0 violated: residual "
+            f"{float(iso[i, k]):.3e} at null point (a, b) = {(float(a[k]), float(b[i]))}"
+        )
     i, k = np.unravel_index(int(np.argmax(iso)), iso.shape)
     worst_iso = float(iso[i, k])
     worst_iso_at = (float(a[k]), float(b[i]))
-    if not worst_iso <= ISOTHERMAL_TOL * scale:  # a NaN residual fails too
-        raise SurfaceConditionError(
-            f"isothermal condition Psi'^2 = 0 violated: residual "
-            f"{worst_iso:.3e} at null point (a, b) = {worst_iso_at}"
-        )
 
     i, k = np.unravel_index(int(np.argmax(norm_phi)), norm_phi.shape)
     worst_norm = float(norm_phi[i, k])
@@ -274,136 +298,13 @@ def make_surface(psi: HoloCurve, domain: Box | None = None, grid: int = 33) -> S
     return SurfacePatch(psi, phi, phi_prime, domain, record)
 
 
-# -- per-point quantities ------------------------------------------------
-
-def _real_part(w: DVec) -> np.ndarray:
-    return np.array(w.re(), dtype=float)
-
-
-def _imag_part(w: DVec) -> np.ndarray:
-    return np.array(w.im(), dtype=float)
+def _axis_size(samples) -> float:
+    """max(1, max over the axis of sum_k phi_k^2): the Euclidean size of
+    the per-axis null samples of Phi on one axis."""
+    return max(1.0, float(np.max(sum(f * f for f in samples))))
 
 
-def project_normal(phi: DVec, w: DVec) -> DVec:
-    """Projection of w onto the normal space at a point with tangent Phi.
-
-    w - (w . conj Phi / ||Phi||^2) Phi - (w . Phi / ||Phi||^2) conj Phi.
-    """
-    ns = normsq(phi)
-    if abs(ns) < 1e-14:
-        raise MetricDegeneracyError(
-            f"||Phi||^2 = {ns!r} is numerically zero; metric degenerate here"
-        )
-    c1 = dot(w, phi.conj()) / DNum(ns)
-    c2 = dot(w, phi) / DNum(ns)
-    return w - phi.scale(c1) - phi.conj().scale(c2)
-
-
-def point_data(S: SurfacePatch, t: DNum, eps_k: float = EPS_K) -> PointData:
-    """Evaluate x, Phi, Phi', Phi'perp, E, K (bivector), class at t."""
-    S.domain.check(t)
-    psi = S.psi.eval_unchecked(t)
-    phi = S.phi.eval_unchecked(t)
-    phip = S.phi_prime.eval_unchecked(t)
-    ns = normsq(phi)
-    if abs(ns) < 1e-14:
-        raise MetricDegeneracyError(f"metric degenerate at t = {t!r}")
-    E = 0.5 * ns
-    K = -4.0 * wedge_normsq(phi, phip) / ns**3
-    perp = project_normal(phi, phip)
-    cls = _classify(phi, phip, K, eps_k)
-    return PointData(
-        t=t, x=_real_part(psi), phi=phi, phi_prime=phip,
-        phi_perp=perp, E=E, K=K, cls=cls,
-    )
-
-
-def _classify(phi: DVec, phip: DVec, K: float, eps_k: float) -> PointClass:
-    sq = dot(phip, phip)
-    if classify(sq) is DClass.NULL:
-        return PointClass.DEGENERATE
-    if abs(K) <= eps_k:
-        return PointClass.SUPERCONFORMAL
-    return PointClass.GENERIC
-
-
-def classify_point(S: SurfacePatch, t: DNum, eps_k: float = EPS_K) -> PointClass:
-    S.domain.check(t)
-    phi = S.phi.eval_unchecked(t)
-    phip = S.phi_prime.eval_unchecked(t)
-    sq = dot(phip, phip)
-    if classify(sq) is DClass.NULL:
-        return PointClass.DEGENERATE
-    ns = normsq(phi)
-    K = -4.0 * wedge_normsq(phi, phip) / ns**3
-    return PointClass.SUPERCONFORMAL if abs(K) <= eps_k else PointClass.GENERIC
-
-
-def gauss_K(
-    S: SurfacePatch,
-    t: DNum,
-    method: str = "bivector",
-    h_fd: float = H_FD,
-    richardson: bool = True,
-) -> float:
-    """Gauss curvature at t by one of three routes.
-
-    projection: -4 ||Phi'perp||^2 / ||Phi||^4
-    bivector:   -4 ||Phi ^ Phi'||^2 / ||Phi||^6
-    laplacian:  lap_h ln(-||Phi||^2) / (-||Phi||^2), central differences
-    """
-    S.domain.check(t)
-    phi = S.phi.eval_unchecked(t)
-    ns = normsq(phi)
-    if abs(ns) < 1e-14:
-        raise MetricDegeneracyError(f"metric degenerate at t = {t!r}")
-    if method == "projection":
-        perp = project_normal(phi, S.phi_prime.eval_unchecked(t))
-        return -4.0 * normsq(perp) / ns**2
-    if method == "bivector":
-        return -4.0 * wedge_normsq(phi, S.phi_prime.eval_unchecked(t)) / ns**3
-    if method == "laplacian":
-        box = S.domain
-        margin = 2.0 * h_fd
-        if not (
-            box.a0 + margin <= t.p <= box.a1 - margin
-            and box.b0 + margin <= t.m <= box.b1 - margin
-        ):
-            raise GridError(
-                f"laplacian method needs a {margin} interior margin around t = {t!r}"
-            )
-
-        def lnE(da, db):
-            w = S.phi.eval_unchecked(DNum.from_null(t.p + da, t.m + db))
-            return math.log(-normsq(w))
-
-        def lap(h):
-            return (lnE(h, h) - lnE(h, -h) - lnE(-h, h) + lnE(-h, -h)) / (h * h)
-
-        val = lap(h_fd)
-        if richardson:
-            val = (4.0 * lap(h_fd / 2.0) - val) / 3.0
-        return val / (-ns)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def second_fundamental(S: SurfacePatch, t: DNum) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma(x_u, x_u), sigma(x_u, x_v)) = (Re Phi'perp, Im Phi'perp)."""
-    pd = point_data(S, t)
-    return _real_part(pd.phi_perp), _imag_part(pd.phi_perp)
-
-
-def gauss_equation_residual(
-    S: SurfacePatch, t: DNum, h_fd: float = H_FD, richardson: bool = True
-) -> float:
-    """|lap_h ln|E| / E + 2K| at t, the fundamental Gauss equation."""
-    K = gauss_K(S, t, "bivector")
-    Klap = gauss_K(S, t, "laplacian", h_fd=h_fd, richardson=richardson)
-    # lap ln|E| / E = lap ln(-||Phi||^2)/ (||Phi||^2 / 2) = -2 K_lap
-    return abs(-2.0 * Klap + 2.0 * K)
-
-
-# -- normal-curvature hyperbola ------------------------------------------
+# -- canonical grid and mesh positions -----------------------------------
 
 def _first(mask: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Index (j, i) and null point t of the first grid point, row-major
@@ -486,34 +387,6 @@ def canonical_grid(S: SurfacePatch, chart, sa: np.ndarray, sb: np.ndarray) -> di
     }
 
 
-def hyperbola_at(S: SurfacePatch, s: DNum, chart) -> NormalHyperbola:
-    """Normal-curvature data at the canonical coordinate s of a chart:
-    canonical_grid on a grid of one point."""
-    g = canonical_grid(S, chart, np.array([s.p]), np.array([s.m]))
-    nu, mu = float(g["nu"][0, 0]), float(g["mu"][0, 0])
-    sig11, sig12 = g["sigma11"][:, 0, 0], g["sigma12"][:, 0, 0]
-    tol = 1e-10 * (1.0 + nu + mu)
-    return NormalHyperbola(
-        n1=None if nu <= tol else sig11 / nu,
-        n2=None if mu <= tol else sig12 / mu,
-        nu=nu, mu=mu, kappa=float(g["kappa"][0, 0]), K=float(g["K"][0, 0]),
-        E=float(g["E"][0, 0]), frame_degenerate=nu <= tol or mu <= tol,
-    )
-
-
-def hyperbola_sample(
-    sigma_uu: np.ndarray, sigma_uv: np.ndarray, E: float, psi: float
-) -> np.ndarray:
-    """sigma(X, X) on the unit tangent hyperbola at parameter psi.
-
-    Returns sigma(X1, X1) cosh(2 psi) + sigma(X1, X2) sinh(2 psi), where
-    the unit-frame values are the raw coordinate values scaled by 1/(-E).
-    """
-    sig11 = np.asarray(sigma_uu, dtype=float) / (-E)
-    sig12 = np.asarray(sigma_uv, dtype=float) / (-E)
-    return sig11 * math.cosh(2.0 * psi) + sig12 * math.sinh(2.0 * psi)
-
-
 # -- sampled immersion check ---------------------------------------------
 
 def mean_curvature_residual(x: np.ndarray, du: float, dv: float) -> float:
@@ -522,6 +395,8 @@ def mean_curvature_residual(x: np.ndarray, du: float, dv: float) -> float:
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[0] < 3 or x.shape[1] < 3:
         raise GridError("need a (nv, nu, n) sample with nv, nu >= 3")
+    from . import kernels
+
     acc = 0.0
     for k in range(x.shape[2]):
         lap = kernels.hyperbolic_laplacian(x[:, :, k], du, dv)

@@ -8,31 +8,38 @@ a pair of univariate real functions acting on the null coordinates
 
 Every downstream computation (derivatives, root extraction, canonization)
 then reduces to independent 1-D problems on the two axes.
+
+The batched grids of dnsurf.geom read the per-axis functions through
+sample().  Evaluation at one double number, HoloMap.eval and
+HoloCurve.eval, serves the per-point route of dnsurf.pointwise; the
+curve's value is a mink.DVec, and mink is imported only when one is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import sexpr
 from .dnum import DNum
 from .errors import GridError, OutOfDomainError
-from .mink import DVec
+from .value import Value, setfield
 
 
-@dataclass(frozen=True)
-class RealFn1:
+class RealFn1(Value):
     """A univariate real function given by a j-free expression in t.
 
     f and df evaluate the expression and its exact symbolic derivative;
     the derivative expression is formed once, on first use.
     """
 
-    expr: sexpr.Expr
+    __slots__ = ("expr", "_deriv")
+    _fields = ("expr",)
+
+    def __init__(self, expr: sexpr.Expr):
+        setfield(self, "expr", expr)
+        setfield(self, "_deriv", None)
 
     def f(self, x):
         return sexpr.eval_expr(self.expr, x)
@@ -40,9 +47,11 @@ class RealFn1:
     def df(self, x):
         return self.deriv.f(x)
 
-    @cached_property
+    @property
     def deriv(self) -> "RealFn1":
-        return RealFn1(sexpr.diff_t(self.expr))
+        if self._deriv is None:
+            setfield(self, "_deriv", RealFn1(sexpr.diff_t(self.expr)))
+        return self._deriv
 
 
 def sample(f, x):
@@ -57,16 +66,16 @@ def sample(f, x):
 
 # -- domains -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Box:
+class Box(Value):
     """Rectangle [a0, a1] x [b0, b1] in null coordinates (a, b)."""
 
-    a0: float
-    a1: float
-    b0: float
-    b1: float
+    __slots__ = _fields = ("a0", "a1", "b0", "b1")
 
-    def __post_init__(self):
+    def __init__(self, a0: float, a1: float, b0: float, b1: float):
+        setfield(self, "a0", a0)
+        setfield(self, "a1", a1)
+        setfield(self, "b0", b0)
+        setfield(self, "b1", b1)
         if not all(map(math.isfinite, (self.a0, self.a1, self.b0, self.b1))):
             raise GridError(f"non-finite domain box {self}")
         if not (self.a0 < self.a1 and self.b0 < self.b1):
@@ -88,11 +97,13 @@ class Box:
 
 # -- holomorphic maps ----------------------------------------------------
 
-@dataclass(frozen=True)
-class HoloMap:
-    fminus: RealFn1
-    fplus: RealFn1
-    domain: Box
+class HoloMap(Value):
+    __slots__ = _fields = ("fminus", "fplus", "domain")
+
+    def __init__(self, fminus: RealFn1, fplus: RealFn1, domain: Box):
+        setfield(self, "fminus", fminus)
+        setfield(self, "fplus", fplus)
+        setfield(self, "domain", domain)
 
     @classmethod
     def from_expr(cls, e: sexpr.Expr, domain: Box) -> "HoloMap":
@@ -117,14 +128,14 @@ class HoloMap:
         return HoloMap(self.fplus, self.fminus, self.domain.swapped())
 
 
-@dataclass(frozen=True)
-class HoloCurve:
+class HoloCurve(Value):
     """n holomorphic maps sharing one domain; houses Psi and Phi."""
 
-    components: tuple[HoloMap, ...]
+    __slots__ = _fields = ("components",)
 
-    def __post_init__(self):
-        doms = {c.domain for c in self.components}
+    def __init__(self, components: tuple[HoloMap, ...]):
+        setfield(self, "components", components)
+        doms = {c.domain for c in components}
         if len(doms) != 1:
             raise GridError("HoloCurve components must share one domain")
 
@@ -140,11 +151,17 @@ class HoloCurve:
     def from_exprs(cls, exprs, domain: Box) -> "HoloCurve":
         return cls(tuple(HoloMap.from_expr(e, domain) for e in exprs))
 
-    def eval(self, t: DNum) -> DVec:
+    def eval(self, t: DNum):
+        """Psi(t) as a mink.DVec, after checking t against the domain."""
+        from .mink import DVec
+
         self.domain.check(t)
         return DVec(tuple(c.eval_unchecked(t) for c in self.components))
 
-    def eval_unchecked(self, t: DNum) -> DVec:
+    def eval_unchecked(self, t: DNum):
+        """Psi(t) as a mink.DVec, for a t already checked by the caller."""
+        from .mink import DVec
+
         return DVec(tuple(c.eval_unchecked(t) for c in self.components))
 
     def differentiate(self) -> "HoloCurve":

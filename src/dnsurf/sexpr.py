@@ -17,12 +17,12 @@ axes (j = qbar - q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dnum import DNum, J, elementary
 from .errors import ParseError
+from .value import Value, setfield
 
 FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp")
 
@@ -31,52 +31,63 @@ _NP_FUNC = {name: getattr(np, name) for name in FUNCTIONS}
 
 # -- AST -----------------------------------------------------------------
 
-class Expr:
+class Expr(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Pi(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     """The variable t."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Jay(Expr):
     """The hyperbolic unit j."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Neg(Expr):
-    arg: Expr
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        setfield(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Bin(Expr):
-    op: str  # one of + - * /
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        setfield(self, "op", op)  # one of + - * /
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exp: int
+    __slots__ = _fields = ("base", "exp")
+
+    def __init__(self, base: Expr, exp: int):
+        setfield(self, "base", base)
+        setfield(self, "exp", exp)
 
 
-@dataclass(frozen=True)
 class App(Expr):
-    func: str
-    arg: Expr
+    __slots__ = _fields = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        setfield(self, "func", func)
+        setfield(self, "arg", arg)
 
 
 # -- folding constructors ------------------------------------------------

@@ -65,6 +65,13 @@ def s5():
 
 
 @pytest.fixture(scope="session")
+def s6():
+    """s1's curve on the a axis and s5's on the b axis: the two null axes
+    carry different functions, P = 1 and Q(b) = e^{2b}."""
+    return _load("s6.json")
+
+
+@pytest.fixture(scope="session")
 def gallery(s1, s2, s3, s4):
     return [s1, s2, s3, s4]
 

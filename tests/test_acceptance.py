@@ -13,11 +13,12 @@ import sys
 import numpy as np
 import pytest
 
-from dnsurf import canon, family, geom, holo, sexpr
+from dnsurf import canon, family, holo, pointwise, sexpr
 from dnsurf.dnum import DNum, nth_root_positive
-from dnsurf.geom import PointClass, gauss_K, grid_quantities, point_data
+from dnsurf.geom import grid_quantities
 from dnsurf.holo import Box
 from dnsurf.mink import dot
+from dnsurf.pointwise import PointClass, gauss_K, point_data
 
 GALLERY = pathlib.Path(__file__).resolve().parents[1] / "gallery"
 
@@ -152,7 +153,7 @@ def test_criterion_06_degeneracy(gallery, s3, s4):
     worst_k = 0.0
     for i, S in enumerate((s3, s4)):
         for t in _random_points(S, 500, seed=300 + i):
-            ok = ok and geom.classify_point(S, t) is PointClass.DEGENERATE
+            ok = ok and pointwise.classify_point(S, t) is PointClass.DEGENERATE
             worst_k = max(worst_k, abs(gauss_K(S, t, "bivector")))
     ok = ok and worst_k <= 1e-10
 
@@ -195,7 +196,7 @@ def test_criterion_07_families(s1, s2, boost):
         ("homothety", 3.0, family.homothety(s2, 3.0)),
         ("motion", None, family.apply_motion(s2, boost)),
     ):
-        moved = family.transport_chart(chart, name, param)
+        moved = canon.transport_chart(chart, name, param)
         worst_tr = max(worst_tr, canon.verify_canonical(S, moved))
     ok = ok and worst_tr <= 1e-8
     _report(7, "associated isometry, conjugate anti-isometry, chart transport",
@@ -218,7 +219,7 @@ def test_criterion_08_hyperbola(s2):
     for x in sa:
         for y in sb:
             s = DNum.from_null(float(x), float(y))
-            H = geom.hyperbola_at(s2, s, chart)
+            H = pointwise.hyperbola_at(s2, s, chart)
             t = chart.inv(s)
             Kb = gauss_K(s2, t, "bivector")  # invariant, independent route
             worst = max(
@@ -238,7 +239,7 @@ def test_criterion_08_hyperbola(s2):
             sig_uu = H.nu * H.n1 * (-H.E)
             sig_uv = H.mu * H.n2 * (-H.E)
             for psi in (-1.0, 0.3, 1.0):
-                p = geom.hyperbola_sample(sig_uu, sig_uv, H.E, psi)
+                p = pointwise.hyperbola_sample(sig_uu, sig_uv, H.E, psi)
                 xi, eta = mdot(p, H.n1), mdot(p, H.n2)
                 worst_frame = max(
                     worst_frame,

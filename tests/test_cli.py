@@ -169,6 +169,51 @@ def test_family_associated_is_isometry_at_theta_5(tmp_path, capsys):
     assert float(line.split(": ")[1]) <= 1e-15
 
 
+@pytest.mark.parametrize("theta", ["12", "20", "30"])
+def test_family_associated_is_isometry_at_large_theta(tmp_path, capsys, theta):
+    """Each null axis is validated against its own size, so the e^{-+theta}
+    scaling of the two axes does not fail the isothermal check."""
+    assert run_cli("family", GALLERY / "s1.json", "--op", "associated", "--theta", theta,
+                   "--out", tmp_path / "a.json") == 0
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.startswith("max |E_theta - E|: ")
+    assert float(line.split(": ")[1]) <= 1e-15
+
+
+def test_check_per_axis_scale_still_refuses_non_isothermal(tmp_path, capsys):
+    spec = tmp_path / "ttt.json"
+    spec.write_text(json.dumps({
+        "name": "ttt", "n": 3, "psi": ["t", "t", "t"],
+        "domain": {"a": [-2, 0], "b": [0.4, 2]},
+    }))
+    assert run_cli("check", spec) == 2
+    assert "isothermal condition" in capsys.readouterr().err
+
+
+def _overflowing_power_spec(d):
+    spec = d / "pow.json"
+    spec.write_text(json.dumps({
+        "name": "pow", "n": 3, "psi": ["t^100000000", "sin(t)", "-cos(t)"],
+        "domain": {"a": [-2, 0], "b": [0.4, 2]},
+    }))
+    return ["check", spec]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["family", GALLERY / "s1.json", "--op", "associated", "--theta", "400",
+               "--out", d / "f.json"],
+    _overflowing_power_spec,
+], ids=["theta-400", "t-to-the-1e8"])
+def test_overflowing_input_is_refused_without_numpy_warnings(tmp_path, argv):
+    """Samples that overflow to inf, or whose squares do, exit 2 and numpy
+    prints nothing on the way."""
+    r = subprocess.run([sys.executable, "-m", "dnsurf.cli", *map(str, argv(tmp_path))],
+                       capture_output=True, text=True)
+    assert r.returncode == 2
+    assert "validation error" in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+
+
 def test_family_conjugate_golden_spec(tmp_path):
     out = tmp_path / "c.json"
     assert run_cli("family", GALLERY / "s1.json", "--op", "conjugate", "--out", out) == 0
@@ -364,6 +409,8 @@ def test_determinism_byte_identical(tmp_path):
         (["canonize", GALLERY / "s1.json", "--grid", "5x5", "--base", "0.3,0.5"], "can.json"),
         (["family", GALLERY / "s1.json", "--op", "associated", "--theta", "0.3"], "fam.json"),
         (["mesh", GALLERY / "s1.json", "--grid", "6x6"], "mesh.obj"),
+        (["canonize", GALLERY / "s6.json", "--grid", "5x5"], "can.json"),
+        (["family", GALLERY / "s6.json", "--op", "conjugate"], "fam.json"),
     ]
     for args, fname in cases:
         outs = []

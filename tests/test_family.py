@@ -5,10 +5,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from dnsurf import canon, cli, family, geom, holo
+from dnsurf import canon, cli, family, geom, holo, pointwise
+from dnsurf.canon import transport_chart
 from dnsurf.dnum import DNum
 from dnsurf.errors import MotionError
-from dnsurf.family import Motion, apply_motion, associated_surface, conjugate_surface, homothety, transport_chart
+from dnsurf.family import Motion, apply_motion, associated_surface, conjugate_surface, homothety
 from dnsurf.geom import grid_quantities
 
 
@@ -31,6 +32,20 @@ def test_motion_rejects_non_numeric_entries():
         Motion(np.eye(3), np.array([np.inf, 0.0, 0.0]))
     with pytest.raises(MotionError, match="numbers"):
         Motion([[1, 0, 0], [0, 1, 0], [0, 0, "x"]], np.zeros(3))
+
+
+def test_motion_tolerance_scales_with_entries():
+    """Exact boosts round on entries of size cosh(beta)^2, which the
+    tolerance scales with; a relative error of 1e-6 in one entry does not
+    pass, nor does a matrix that is not a motion at all."""
+    for beta in (7.5, 8.5, 15.0):
+        Motion.boost(3, 0, 1, beta)
+    with pytest.raises(MotionError, match="not a Minkowski motion"):
+        Motion(np.diag([1.0, 2.0, 1.0]), np.zeros(3))
+    A = Motion.boost(3, 0, 1, 8.5).A.copy()
+    A[0, 1] *= 1.0 + 1e-6
+    with pytest.raises(MotionError, match="not a Minkowski motion"):
+        Motion(A, np.zeros(3))
 
 
 def test_improper_motion_allowed():
@@ -151,7 +166,7 @@ def test_degeneracy_transport(s3, s4):
         t = DNum.from_null(
             np.clip(t3.p, box.a0, box.a1), np.clip(t3.m, box.b0, box.b1)
         )
-        assert geom.classify_point(S, t) is geom.PointClass.DEGENERATE
+        assert pointwise.classify_point(S, t) is pointwise.PointClass.DEGENERATE
     # s4 exists only per null axis, so it drives the per-axis route alone
     t4 = DNum.from_null(1.5, 0.0)
     for S, t in (
@@ -160,16 +175,22 @@ def test_degeneracy_transport(s3, s4):
         (associated_surface(s4, 0.4), t4),
         (apply_motion(s4, Motion.boost(3, 0, 1, 0.2)), t4),
     ):
-        assert geom.classify_point(S, t) is geom.PointClass.DEGENERATE
+        assert pointwise.classify_point(S, t) is pointwise.PointClass.DEGENERATE
 
 
-def test_per_axis_route_matches_spec_route(s1, s2, boost):
+def test_per_axis_route_matches_spec_route(s1, s2, s6, boost):
     """family.<op>(S), which transforms the null-axis expressions, agrees
-    with the surface built from the transformed spec expressions."""
+    with the surface built from the transformed spec expressions.  s6 has
+    different functions on its two null axes, so a per-axis route that
+    mixed them up would fail here."""
     gallery = pathlib.Path(__file__).resolve().parents[1] / "gallery"
-    exprs = {name: cli.load_spec(str(gallery / f"{name}.json"))[1] for name in ("s1", "s2")}
-    cases = [(apply_motion(s2, boost), family.motion_exprs(exprs["s2"], s2.domain, boost))]
-    for name, S in (("s1", s1), ("s2", s2)):
+    exprs = {name: cli.load_spec(str(gallery / f"{name}.json"))[1] for name in ("s1", "s2", "s6")}
+    boost3 = Motion.boost(3, 0, 1, 0.3)
+    cases = [
+        (apply_motion(s2, boost), family.motion_exprs(exprs["s2"], s2.domain, boost)),
+        (apply_motion(s6, boost3), family.motion_exprs(exprs["s6"], s6.domain, boost3)),
+    ]
+    for name, S in (("s1", s1), ("s2", s2), ("s6", s6)):
         box = S.domain
         cases += [
             (conjugate_surface(S), family.conjugate_exprs(exprs[name], box)),

@@ -1,15 +1,15 @@
 """Surface kernel: validation, curvatures, classification, hyperbola."""
 
 import math
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
 
-from dnsurf import canon, geom
+from dnsurf import canon, geom, pointwise
 from dnsurf.dnum import DNum
 from dnsurf.errors import DegeneratePointError, OutOfDomainError, SurfaceConditionError
-from dnsurf.holo import Box, HoloCurve
+from dnsurf.holo import Box, HoloCurve, HoloMap
 from dnsurf.mink import dot
 from dnsurf.sexpr import parse
 
@@ -50,18 +50,20 @@ def test_make_surface_rejects_non_isothermal():
 
 
 def test_make_surface_rejects_nan_samples(s5):
-    """s5 stretched to b = 800, where exp(t) overflows and Phi^2 samples are NaN."""
+    """s5 stretched to b = 800, where exp(t) overflows: the first infinite
+    sample, at b = 725.04, is refused by name and numpy warns of nothing."""
     box = Box(-2.0, 0.0, 0.4, 800.0)
-    psi = HoloCurve(tuple(replace(c, domain=box) for c in s5.psi.components))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SurfaceConditionError, match="residual nan"):
+    psi = HoloCurve(tuple(HoloMap(c.fminus, c.fplus, box) for c in s5.psi.components))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SurfaceConditionError, match=r"non-finite sample .* = \(-2.0, 725.0375\)"):
             geom.make_surface(psi)
 
 
 def test_point_data_s1_at_half_pi(s1):
     """At t = j pi/2: E = -1, Phi = (1, 0, j), Phi' = (0, -j, 0), K = 1."""
     t = DNum(0.0, math.pi / 2)
-    pd = geom.point_data(s1, t)
+    pd = pointwise.point_data(s1, t)
     np.testing.assert_allclose(pd.E, -1.0, atol=1e-15)
     np.testing.assert_allclose(pd.K, 1.0, rtol=1e-12)
     np.testing.assert_allclose(
@@ -76,13 +78,13 @@ def test_point_data_s1_at_half_pi(s1):
         [[c.re, c.im] for c in pd.phi_perp.components],
         [[0, 0], [0, -1], [0, 0]], atol=1e-12,
     )
-    assert pd.cls is geom.PointClass.GENERIC
+    assert pd.cls is pointwise.PointClass.GENERIC
 
 
 def test_point_data_s3_degenerate(s3):
-    pd = geom.point_data(s3, DNum(0.1, -0.2))
+    pd = pointwise.point_data(s3, DNum(0.1, -0.2))
     np.testing.assert_allclose(pd.K, 0.0, atol=1e-14)
-    assert pd.cls is geom.PointClass.DEGENERATE
+    assert pd.cls is pointwise.PointClass.DEGENERATE
     np.testing.assert_allclose(pd.E, -9.0, rtol=1e-14)
 
 
@@ -93,7 +95,7 @@ def test_phi_dot_phi_prime_vanishes(s1, s2):
         for _ in range(50):
             a = rng.uniform(box.a0, box.a1)
             b = rng.uniform(box.b0, box.b1)
-            pd = geom.point_data(S, DNum.from_null(a, b))
+            pd = pointwise.point_data(S, DNum.from_null(a, b))
             z = dot(pd.phi, pd.phi_prime)
             assert max(abs(z.re), abs(z.im)) <= 1e-10 * max(1.0, abs(pd.E))
 
@@ -101,17 +103,17 @@ def test_phi_dot_phi_prime_vanishes(s1, s2):
 def test_project_normal_examples(s1):
     """Tangential input projects to zero; S1 cases at v = pi/2 and pi/4."""
     t = DNum(0.0, math.pi / 2)
-    pd = geom.point_data(s1, t)
-    z = geom.project_normal(pd.phi, pd.phi)
+    pd = pointwise.point_data(s1, t)
+    z = pointwise.project_normal(pd.phi, pd.phi)
     assert all(max(abs(c.re), abs(c.im)) <= 1e-12 for c in z.components)
     # at v = pi/2, conj(Phi).Phi' = 0 so Phi' is already normal
-    perp = geom.project_normal(pd.phi, pd.phi_prime)
+    perp = pointwise.project_normal(pd.phi, pd.phi_prime)
     for c, d in zip(perp.components, pd.phi_prime.components):
         np.testing.assert_allclose([c.re, c.im], [d.re, d.im], atol=1e-12)
     # at v = pi/4, Phi'perp = Phi' - j Phi
     t = DNum(0.0, math.pi / 4)
-    pd = geom.point_data(s1, t)
-    perp = geom.project_normal(pd.phi, pd.phi_prime)
+    pd = pointwise.point_data(s1, t)
+    perp = pointwise.project_normal(pd.phi, pd.phi_prime)
     want = pd.phi_prime - pd.phi.scale(DNum(0.0, 1.0))
     for c, d in zip(perp.components, want.components):
         np.testing.assert_allclose([c.re, c.im], [d.re, d.im], atol=1e-12)
@@ -121,24 +123,24 @@ def test_gauss_K_closed_forms(s1, s2):
     for v, want in ((math.pi / 2, 1.0), (math.pi / 4, 4.0), (0.7, s1_closed_K(0.7))):
         t = DNum(-0.3, v)
         for method in ("projection", "bivector"):
-            np.testing.assert_allclose(geom.gauss_K(s1, t, method), want, rtol=1e-9)
+            np.testing.assert_allclose(pointwise.gauss_K(s1, t, method), want, rtol=1e-9)
     t = DNum(0.2, 0.5)
     for method in ("projection", "bivector"):
-        np.testing.assert_allclose(geom.gauss_K(s2, t, method), S2_K_AT_HALF, rtol=1e-9)
+        np.testing.assert_allclose(pointwise.gauss_K(s2, t, method), S2_K_AT_HALF, rtol=1e-9)
     np.testing.assert_allclose(s2_closed_K(0.5), S2_K_AT_HALF, rtol=1e-15)
 
 
 def test_gauss_K_laplacian(s1, s2, s3):
     t = DNum(-0.3, 0.9)
     np.testing.assert_allclose(
-        geom.gauss_K(s1, t, "laplacian"), s1_closed_K(0.9), rtol=1e-6
+        pointwise.gauss_K(s1, t, "laplacian"), s1_closed_K(0.9), rtol=1e-6
     )
     t = DNum(0.2, 0.5)
     np.testing.assert_allclose(
-        geom.gauss_K(s2, t, "laplacian"), S2_K_AT_HALF, rtol=1e-6
+        pointwise.gauss_K(s2, t, "laplacian"), S2_K_AT_HALF, rtol=1e-6
     )
     np.testing.assert_allclose(
-        geom.gauss_K(s3, DNum(0.0, 0.0), "laplacian"), 0.0, atol=1e-10
+        pointwise.gauss_K(s3, DNum(0.0, 0.0), "laplacian"), 0.0, atol=1e-10
     )
 
 
@@ -146,33 +148,33 @@ def test_gauss_K_laplacian_margin(s1):
     box = s1.domain
     t = DNum.from_null(box.a0 + 1e-4, 1.0)
     with pytest.raises(geom.GridError, match="margin"):
-        geom.gauss_K(s1, t, "laplacian")
+        pointwise.gauss_K(s1, t, "laplacian")
 
 
 def test_second_fundamental_s1(s1):
     """sigma_uu = 0, sigma_uv = (0, -1, 0) at t = j pi/2; normality."""
     t = DNum(0.0, math.pi / 2)
-    s_uu, s_uv = geom.second_fundamental(s1, t)
+    s_uu, s_uv = pointwise.second_fundamental(s1, t)
     np.testing.assert_allclose(s_uu, [0, 0, 0], atol=1e-12)
     np.testing.assert_allclose(s_uv, [0, -1, 0], atol=1e-12)
     # normality against x_u = Re Phi and x_v = Im Phi
-    pd = geom.point_data(s1, t)
+    pd = pointwise.point_data(s1, t)
     xu = np.array(pd.phi.re())
     eta = np.diag([-1.0, 1.0, 1.0])
     np.testing.assert_allclose(s_uv @ eta @ xu, 0.0, atol=1e-12)
 
 
 def test_second_fundamental_s3_zero(s3):
-    s_uu, s_uv = geom.second_fundamental(s3, DNum(0.3, 0.1))
+    s_uu, s_uv = pointwise.second_fundamental(s3, DNum(0.3, 0.1))
     np.testing.assert_allclose(s_uu, 0.0, atol=1e-14)
     np.testing.assert_allclose(s_uv, 0.0, atol=1e-14)
 
 
 def test_classify_point(s1, s3, s4):
-    assert geom.classify_point(s1, DNum(0.0, 1.0)) is geom.PointClass.GENERIC
-    assert geom.classify_point(s3, DNum(0.0, 0.0)) is geom.PointClass.DEGENERATE
+    assert pointwise.classify_point(s1, DNum(0.0, 1.0)) is pointwise.PointClass.GENERIC
+    assert pointwise.classify_point(s3, DNum(0.0, 0.0)) is pointwise.PointClass.DEGENERATE
     t = DNum.from_null(1.5, 0.0)
-    assert geom.classify_point(s4, t) is geom.PointClass.DEGENERATE
+    assert pointwise.classify_point(s4, t) is pointwise.PointClass.DEGENERATE
     # S4 has Phi'^2 = q, nonzero yet null
     sq = dot(s4.phi_prime.eval(t), s4.phi_prime.eval(t))
     np.testing.assert_allclose([sq.re, sq.im], [0.5, -0.5], atol=1e-14)
@@ -187,7 +189,7 @@ def test_key_identity_perp_square(s1, s2, s4):
             t = DNum.from_null(
                 rng.uniform(box.a0, box.a1), rng.uniform(box.b0, box.b1)
             )
-            pd = geom.point_data(S, t)
+            pd = pointwise.point_data(S, t)
             lhs = dot(pd.phi_perp, pd.phi_perp)
             rhs = dot(pd.phi_prime, pd.phi_prime)
             scale = max(1.0, abs(rhs.re), abs(rhs.im))
@@ -202,19 +204,19 @@ def test_grid_quantities_match_pointwise(s2):
         for k in (2, 5):
             t = DNum.from_null(g["a"][i, k], g["b"][i, k])
             np.testing.assert_allclose(
-                g["K_biv"][i, k], geom.gauss_K(s2, t, "bivector"), rtol=1e-12
+                g["K_biv"][i, k], pointwise.gauss_K(s2, t, "bivector"), rtol=1e-12
             )
             np.testing.assert_allclose(
-                g["K_proj"][i, k], geom.gauss_K(s2, t, "projection"), rtol=1e-9
+                g["K_proj"][i, k], pointwise.gauss_K(s2, t, "projection"), rtol=1e-9
             )
             np.testing.assert_allclose(
-                g["E"][i, k], geom.point_data(s2, t).E, rtol=1e-12
+                g["E"][i, k], pointwise.point_data(s2, t).E, rtol=1e-12
             )
 
 
 def test_gauss_equation_residual(s1, s2):
     for S, t in ((s1, DNum(-0.3, 0.9)), (s2, DNum(0.2, 0.6))):
-        assert geom.gauss_equation_residual(S, t) <= 1e-5
+        assert pointwise.gauss_equation_residual(S, t) <= 1e-5
 
 
 def test_membership_perp_square_in_closure(gallery):
@@ -226,7 +228,7 @@ def test_membership_perp_square_in_closure(gallery):
             t = DNum.from_null(
                 rng.uniform(box.a0, box.a1), rng.uniform(box.b0, box.b1)
             )
-            pd = geom.point_data(S, t)
+            pd = pointwise.point_data(S, t)
             sq = dot(pd.phi_perp, pd.phi_perp)
             scale = 1.0 + max(abs(sq.re), abs(sq.im))
             assert sq.p >= -1e-9 * scale
@@ -270,10 +272,10 @@ def test_canonical_grid_matches_scalar_routes(s1, s2, s5):
         for j, y in enumerate(sb):
             for i, x in enumerate(sa):
                 t = chart.inv(DNum.from_null(float(x), float(y)))
-                want_x = geom.point_data(S, t).x
+                want_x = pointwise.point_data(S, t).x
                 np.testing.assert_allclose(g["x"][:, j, i], want_x, rtol=1e-10,
                                            atol=1e-10 * np.max(np.abs(want_x)))
-                np.testing.assert_allclose(g["K"][j, i], geom.gauss_K(S, t, "bivector"),
+                np.testing.assert_allclose(g["K"][j, i], pointwise.gauss_K(S, t, "bivector"),
                                            rtol=1e-10)
                 np.testing.assert_allclose(g["kappa"][j, i], 2.0 * g["nu"][j, i] * g["mu"][j, i],
                                            rtol=1e-14)
@@ -290,15 +292,15 @@ def _unit_chart(S):
 
 def test_hyperbola_at_raises_where_it_did(s1, s3, s4):
     with pytest.raises(DegeneratePointError, match="degenerate point"):
-        geom.hyperbola_at(s3, DNum(0.1, -0.2), _unit_chart(s3))
+        pointwise.hyperbola_at(s3, DNum(0.1, -0.2), _unit_chart(s3))
     with pytest.raises(DegeneratePointError, match="degenerate point"):
-        geom.hyperbola_at(s4, DNum.from_null(1.5, 0.0), _unit_chart(s4))
+        pointwise.hyperbola_at(s4, DNum.from_null(1.5, 0.0), _unit_chart(s4))
     box = s1.domain
     with pytest.raises(OutOfDomainError, match="null coordinate a="):
-        geom.hyperbola_at(s1, DNum.from_null(box.a1 + 0.5, 1.0), _unit_chart(s1))
+        pointwise.hyperbola_at(s1, DNum.from_null(box.a1 + 0.5, 1.0), _unit_chart(s1))
     with pytest.raises(OutOfDomainError, match="null coordinate b="):
-        geom.hyperbola_at(s1, DNum.from_null(-1.0, box.b0 - 0.5), _unit_chart(s1))
-    H = geom.hyperbola_at(s1, DNum(0.0, math.pi / 2), _unit_chart(s1))
+        pointwise.hyperbola_at(s1, DNum.from_null(-1.0, box.b0 - 0.5), _unit_chart(s1))
+    H = pointwise.hyperbola_at(s1, DNum(0.0, math.pi / 2), _unit_chart(s1))
     np.testing.assert_allclose([H.K, H.E, H.mu], [1.0, -1.0, 1.0], atol=1e-12)
 
 
