@@ -1,4 +1,4 @@
-"""Shared fixtures: the four-surface gallery and the boost motion."""
+"""Shared fixtures: the gallery surfaces, s4 built per null axis, and the boost motion."""
 
 import json
 import os
@@ -59,9 +59,7 @@ def s4():
 @pytest.fixture(scope="session")
 def s5():
     """Phi'^2 = e^{2a} q + e^{2b} qbar: non-constant chart integrand, s = 2 e^{x/2} + c."""
-    exprs = ["exp(t)", "exp(t)*(cos(t)+sin(t))/2", "exp(t)*(sin(t)-cos(t))/2"]
-    psi = holo.HoloCurve.from_exprs([sexpr.parse(e) for e in exprs], holo.Box(-2.0, 0.0, 0.4, 2.0))
-    return geom.make_surface(psi)
+    return _load("s5.json")
 
 
 @pytest.fixture(scope="session")

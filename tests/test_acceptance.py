@@ -309,6 +309,12 @@ def test_criterion_10_cli_determinism(tmp_path):
         (["family", GALLERY / "s2.json", "--op", "motion", "--motion",
           GALLERY / "boost.json"], ["out.json"]),
         (["mesh", GALLERY / "s1.json", "--grid", "6x6"], ["out.obj"]),
+        (["check", GALLERY / "s5.json"], []),
+        (["canonize", GALLERY / "s5.json", "--grid", "5x5"], ["out.json", "out.csv"]),
+        (["invariants", GALLERY / "s6.json", "--grid", "8x8"], ["out.csv"]),
+        (["family", GALLERY / "s6.json", "--op", "associated", "--theta", "0.7"],
+         ["out.json"]),
+        (["mesh", GALLERY / "s6.json", "--grid", "6x6"], ["out.obj"]),
     ]
     ok = True
     for args, artifacts in cases:

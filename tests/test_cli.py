@@ -1,5 +1,7 @@
 """CLI: exit codes, determinism, round-trips, export formats."""
 
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
@@ -8,8 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dnsurf import cli, geom
+from dnsurf import cli, family, geom, holo, sexpr
 from dnsurf.cli import main
 from dnsurf.dnum import DNum
 
@@ -190,6 +193,32 @@ def test_check_per_axis_scale_still_refuses_non_isothermal(tmp_path, capsys):
     assert "isothermal condition" in capsys.readouterr().err
 
 
+#: Psi'^2 = 3 on both null axes.
+_NON_ISOTHERMAL = ["2*t", "sin(t)", "-cos(t)"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(construction=st.one_of(
+    st.tuples(st.just("associated"), st.floats(-30.0, 30.0)),
+    st.tuples(st.just("homothety"), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+))
+def test_rescaled_non_isothermal_spec_is_still_refused(tmp_path_factory, construction):
+    """associated and homothety scale each null axis by one factor, so the
+    per-axis scale keeps refusing a spec that is not isothermal."""
+    op, p = construction
+    transform = family.associated_exprs if op == "associated" else family.homothety_exprs
+    exprs, box = transform([sexpr.parse(e) for e in _NON_ISOTHERMAL], holo.Box(-2, 0, 0.4, 2), p)
+    spec = tmp_path_factory.mktemp("spec") / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "rescaled", "n": 3, "psi": [sexpr.serialize(e) for e in exprs],
+        "domain": {"a": [box.a0, box.a1], "b": [box.b0, box.b1]},
+    }))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli("check", spec) == 2
+    assert "isothermal condition" in err.getvalue()
+
+
 def _overflowing_power_spec(d):
     spec = d / "pow.json"
     spec.write_text(json.dumps({
@@ -283,6 +312,28 @@ def test_malformed_input_is_validation_error(case, tmp_path, capsys):
         assert run_cli(*MALFORMED[case](tmp_path)) == 2
     assert "validation error" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("n", [{"n": 0}, {}], ids=["n-0", "n-absent"])
+def test_empty_psi_is_refused_by_name(tmp_path, capsys, n):
+    spec = {"name": "s1", "psi": [], "domain": S1_SPEC["domain"], **n}
+    assert run_cli("check", _write(tmp_path / "spec.json", spec)) == 2
+    assert capsys.readouterr().err == "validation error: spec s1: psi has no components\n"
+
+
+@pytest.mark.parametrize("out, csv", [
+    ("out.json", "out.csv"),
+    ("./report", "./report.csv"),
+    ("runs.v2/chart", "runs.v2/chart.csv"),
+])
+def test_canonize_grid_csv_path_replaces_only_the_extension(tmp_path, monkeypatch, capsys,
+                                                            out, csv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    assert run_cli("canonize", GALLERY / "s1.json", "--grid", "3x3", "--out", out) == 0
+    assert capsys.readouterr().out.endswith(f"canonical grid: {csv}\n")
+    assert (tmp_path / csv).read_text().startswith("s_u,s_v,x0,")
+    assert sorted(p.name for p in tmp_path.rglob("*.csv")) == [pathlib.Path(csv).name]
 
 
 def test_mesh_counts(tmp_path):

@@ -1,9 +1,11 @@
 """Conjugate, associated, motion, homothety, and chart transport."""
 
+import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dnsurf import canon, cli, family, geom, holo, pointwise
 from dnsurf.canon import transport_chart
@@ -130,6 +132,35 @@ def test_motion_preserves_invariants(s1, s2, boost):
     np.testing.assert_allclose(g2["K_biv"], g1["K_biv"], atol=1e-9)
 
 
+#: One construction at a large parameter: associated over theta in
+#: [-30, 30], homothety over k in [1e-3, 1e3] and a boost up to beta = 15.
+_LARGE_PARAMETER = st.one_of(
+    st.tuples(st.just("associated"), st.floats(-30.0, 30.0)),
+    st.tuples(st.just("homothety"), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+    st.tuples(st.just("motion"), st.floats(-15.0, 15.0)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["s1", "s6"]), construction=_LARGE_PARAMETER)
+def test_constructions_keep_E_and_K_biv_at_large_parameters(s1, s6, name, construction):
+    """E_theta = E, E^ = k^2 E with K^ = K / k^2, and a motion keeps both.
+    A boost writes entries of size cosh(beta), whose Minkowski products
+    round on the scale cosh(beta)^2, so its tolerance grows with it."""
+    S = {"s1": s1, "s6": s6}[name]
+    op, p = construction
+    factor, scale = 1.0, 1.0
+    if op == "associated":
+        T = associated_surface(S, p)
+    elif op == "homothety":
+        T, factor = homothety(S, p), p * p
+    else:
+        T, scale = apply_motion(S, Motion.boost(3, 0, 1, p)), math.cosh(p) ** 2
+    g, h = (grid_quantities(X, 9, 9, richardson=False) for X in (S, T))
+    np.testing.assert_allclose(h["E"], factor * g["E"], rtol=1e-12 * scale, atol=0)
+    np.testing.assert_allclose(factor * h["K_biv"], g["K_biv"], rtol=1e-12 * scale, atol=0)
+
+
 def test_motion_dimension_mismatch(s1, boost):
     with pytest.raises(MotionError, match="dimension"):
         apply_motion(s1, boost)
@@ -153,7 +184,7 @@ def test_homothety_rejects_nonpositive(s1):
         homothety(s1, -1.0)
 
 
-def test_degeneracy_transport(s3, s4):
+def test_degeneracy_transport(s3, s4, s5, s6):
     """Point classes survive every construction."""
     t3 = DNum(0.1, 0.2)
     for S in (
@@ -176,6 +207,17 @@ def test_degeneracy_transport(s3, s4):
         (apply_motion(s4, Motion.boost(3, 0, 1, 0.2)), t4),
     ):
         assert pointwise.classify_point(S, t) is pointwise.PointClass.DEGENERATE
+    # s5 and s6 are generic, s6 with different functions on its two null axes
+    t = DNum.from_null(-1.0, 1.2)
+    for surf in (s5, s6):
+        assert pointwise.classify_point(surf, t) is pointwise.PointClass.GENERIC
+        for S, ts in (
+            (conjugate_surface(surf), DNum.from_null(-t.p, t.m)),
+            (associated_surface(surf, 0.4), t),
+            (homothety(surf, 2.0), t),
+            (apply_motion(surf, Motion.boost(3, 0, 1, 0.2)), t),
+        ):
+            assert pointwise.classify_point(S, ts) is pointwise.PointClass.GENERIC
 
 
 def test_per_axis_route_matches_spec_route(s1, s2, s6, boost):

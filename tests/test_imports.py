@@ -1,6 +1,8 @@
-"""The import set: the lazy package namespace, and the modules that each
-CLI command loads in a fresh interpreter."""
+"""The import set: the lazy package namespace, the modules that each CLI
+command loads in a fresh interpreter, and how the process entry handles
+cyclic garbage collection around those imports."""
 
+import gc
 import pathlib
 import subprocess
 import sys
@@ -8,8 +10,10 @@ import sys
 import pytest
 
 import dnsurf
+from dnsurf import cli
 
-GALLERY = pathlib.Path(__file__).resolve().parents[1] / "gallery"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GALLERY = ROOT / "gallery"
 
 #: Runs dnsurf.cli.main on argv[2:] (or only `import dnsurf` when argv[2:]
 #: is empty), writing into the directory argv[1], then prints the loaded
@@ -72,3 +76,66 @@ def test_namespace_resolves_every_public_name():
     assert all(ns[name] is getattr(dnsurf, name) for name in dnsurf.__all__)
     with pytest.raises(AttributeError):
         dnsurf.no_such_name
+
+
+#: Runs the CLI process entry on argv[2:], as `python -m dnsurf.cli` does
+#: when argv[1] is "module" and as the dnsurf console script does when it
+#: is "run".  Prints the exit code, whether collection is on, the freeze
+#: count, and how many collections started with nothing frozen while numpy
+#: was loaded.
+_ENTRY = """
+import gc, runpy, sys
+how, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+early = []
+gc.callbacks.append(lambda phase, info: early.append(1) if (
+    phase == "start" and not gc.get_freeze_count() and "numpy" in sys.modules) else None)
+try:
+    if how == "module":
+        runpy.run_module("dnsurf.cli", run_name="__main__", alter_sys=True)
+    else:
+        import dnsurf.cli
+        dnsurf.cli.run()
+except SystemExit as exc:
+    print(exc.code, gc.isenabled(), gc.get_freeze_count(), len(early))
+"""
+
+
+def _entry(how, *argv):
+    r = subprocess.run([sys.executable, "-c", _ENTRY, how, *map(str, argv)],
+                       capture_output=True, text=True, check=True)
+    code, enabled, frozen, early = r.stdout.splitlines()[-1].split()
+    return int(code), enabled == "True", int(frozen), int(early)
+
+
+def test_module_entry_pauses_collection_while_importing_and_freezes():
+    """numpy alone leaves tens of thousands of container objects at import;
+    python -m dnsurf.cli collects none of them while importing, freezes
+    them before the command and runs the command with collection on."""
+    code, enabled, frozen, early = _entry("module", "check", GALLERY / "s1.json")
+    assert code == 0 and enabled
+    assert frozen > 10_000
+    assert early == 0
+
+
+def test_run_entry_freezes_startup_objects():
+    code, enabled, frozen, _early = _entry("run", "check", GALLERY / "s1.json")
+    assert code == 0 and enabled
+    assert frozen > 10_000
+
+
+def test_main_in_process_leaves_collection_as_it_was(tmp_path):
+    """Sweeps and tests call main() many times in one process; it neither
+    freezes objects, which would then never be collected, nor turns
+    collection off."""
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(["check", str(GALLERY / "s1.json")]) == 0
+    assert cli.main(["family", str(GALLERY / "s1.json"), "--op", "conjugate",
+                     "--out", str(tmp_path / "f.json")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"dnsurf": "dnsurf.cli:run"}
