@@ -24,7 +24,7 @@ _SOURCE = {
     **dict.fromkeys((
         "SurfacePatch", "grid_quantities", "make_surface", "mean_curvature_residual",
     ), "geom"),
-    **dict.fromkeys(("Box", "HoloCurve", "HoloMap", "RealFn1", "cr_residual"), "holo"),
+    **dict.fromkeys(("HoloCurve", "HoloMap", "RealFn1", "cr_residual"), "holo"),
     **dict.fromkeys(("DVec", "dot", "normsq", "wedge_normsq"), "mink"),
     **dict.fromkeys((
         "NormalHyperbola", "PointClass", "PointData", "classify_point", "gauss_K",
@@ -32,6 +32,7 @@ _SOURCE = {
         "second_fundamental",
     ), "pointwise"),
     **dict.fromkeys(("diff_t", "parse", "serialize"), "sexpr"),
+    "Box": "value",
 }
 
 __all__ = sorted(_SOURCE)

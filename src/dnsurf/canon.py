@@ -19,16 +19,16 @@ dnsurf.family without recomputing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
-from .dnum import DNum, EPS_CLS
+from .dnum import DNum
 from .errors import ChartModelError, DegeneratePointError, QuadratureError
 from .geom import SurfacePatch, _combo
 from .holo import Box, RealFn1, sample
+from .value import Value, setfield
 
 #: Quadrature node ladder: start here, double until converged.
 _MIN_NODES = 1025
@@ -38,22 +38,25 @@ _MAX_NODES = 2**17 + 1
 QUAD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Map1D:
+class Map1D(Value):
     """A strictly increasing 1-D map with inverse and two derivatives.
 
     Each of fwd, inv, dfwd and d2fwd takes a float or an array and returns
     a float or an array of the same shape.
     """
 
-    fwd: Callable
-    inv: Callable
-    dfwd: Callable
-    d2fwd: Callable
-    lo: float
-    hi: float
-    nodes: int
-    deriv_min: float
+    __slots__ = _fields = ("fwd", "inv", "dfwd", "d2fwd", "lo", "hi", "nodes", "deriv_min")
+
+    def __init__(self, fwd: Callable, inv: Callable, dfwd: Callable, d2fwd: Callable,
+                 lo: float, hi: float, nodes: int, deriv_min: float):
+        setfield(self, "fwd", fwd)
+        setfield(self, "inv", inv)
+        setfield(self, "dfwd", dfwd)
+        setfield(self, "d2fwd", d2fwd)
+        setfield(self, "lo", lo)
+        setfield(self, "hi", hi)
+        setfield(self, "nodes", nodes)
+        setfield(self, "deriv_min", deriv_min)
 
     @property
     def slo(self) -> float:
@@ -175,8 +178,7 @@ def map_reflect_input(m: Map1D) -> Map1D:
     )
 
 
-@dataclass(frozen=True)
-class CanonicalChart:
+class CanonicalChart(Value):
     """The reparametrization t <-> s, one monotone map per null axis.
 
     When conjugate_output is set the chart represents t -> conj(s):
@@ -185,10 +187,13 @@ class CanonicalChart:
     theorem).
     """
 
-    sminus: Map1D
-    splus: Map1D
-    base: DNum
-    conjugate_output: bool = False
+    __slots__ = _fields = ("sminus", "splus", "base", "conjugate_output")
+
+    def __init__(self, sminus: Map1D, splus: Map1D, base: DNum, conjugate_output: bool = False):
+        setfield(self, "sminus", sminus)
+        setfield(self, "splus", splus)
+        setfield(self, "base", base)
+        setfield(self, "conjugate_output", conjugate_output)
 
     def fwd(self, t: DNum) -> DNum:
         va = self.sminus.fwd(t.p)
@@ -202,7 +207,7 @@ class CanonicalChart:
         return DNum.from_null(self.sminus.inv(sp), self.splus.inv(sm))
 
     def conjugated(self) -> "CanonicalChart":
-        return replace(self, conjugate_output=not self.conjugate_output)
+        return self.replace(conjugate_output=not self.conjugate_output)
 
     @property
     def t_box(self) -> Box:
@@ -217,12 +222,14 @@ class CanonicalChart:
         return Box(a0, a1, b0, b1)
 
 
-@dataclass(frozen=True)
-class ChartRelation:
-    sign: int
-    conjugated: bool
-    c: DNum
-    residual: float
+class ChartRelation(Value):
+    __slots__ = _fields = ("sign", "conjugated", "c", "residual")
+
+    def __init__(self, sign: int, conjugated: bool, c: DNum, residual: float):
+        setfield(self, "sign", sign)
+        setfield(self, "conjugated", conjugated)
+        setfield(self, "c", c)
+        setfield(self, "residual", residual)
 
 
 def transport_chart(
@@ -269,14 +276,16 @@ def transport_chart(
 
 # -- the chart integrand -------------------------------------------------
 
-@dataclass(frozen=True)
-class AxisIntegrand:
+class AxisIntegrand(Value):
     """The chart integrand on one null axis, from the null components g_k
     of Phi' on that axis: square(x) = sum_k sign_k g_k(x)^2 is the
     component of Phi'^2 there (P on a, Q on b), f its positive fourth root
     and df the slope of f."""
 
-    g: tuple[RealFn1, ...]
+    __slots__ = _fields = ("g",)
+
+    def __init__(self, g: tuple[RealFn1, ...]):
+        setfield(self, "g", g)
 
     def square(self, x):
         g = [fn.f(x) for fn in self.g]
@@ -319,7 +328,7 @@ def canonize(
     a = np.linspace(box.a0, box.a1, grid)
     b = np.linspace(box.b0, box.b1, grid)
     Pv, Qv = sample(ia.square, a), sample(ib.square, b)
-    thr = EPS_CLS * (1.0 + max(float(np.max(np.abs(Pv))), float(np.max(np.abs(Qv)))))
+    thr = kernels.EPS_CLS * (1.0 + max(float(np.max(np.abs(Pv))), float(np.max(np.abs(Qv)))))
     if float(np.min(Pv)) <= thr:
         i = int(np.argmin(Pv))
         raise DegeneratePointError(

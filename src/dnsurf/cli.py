@@ -15,48 +15,46 @@ family writes the spec that the family.*_exprs transform makes from the
 parsed expressions, and its printed residual is measured on the surface
 built from that same spec.
 
-Each command imports only the modules it runs: every command needs
-errors, sexpr, holo and geom, which this module imports; canonize also
-imports canon, and family imports family.
+Each command runs in two stages.  The front end parses the arguments,
+reads the spec, parses its expressions and checks its domain, --grid,
+--base, --project, --theta, --k and the --motion file; it needs only the
+standard library and errors, value and sexpr, none of which imports
+numpy.  Once the input has passed, _load_back_end imports numpy, holo
+and geom, plus canon for canonize and family for family: the one point
+where numpy loads.  So malformed input is refused without numpy, and
+dnum, which only canon needs, loads only for canonize.
 
 Both process entries, ``python -m dnsurf.cli`` and the ``dnsurf``
-console script, end in run().  Under ``-m`` this module turns cyclic
-garbage collection off before numpy and dnsurf import; the console
-script imports the module before it calls run(), so it skips that
-pause.  run() freezes every object that exists by then and turns
-collection back on, so the command runs with it.  The startup objects
-(modules, classes, numpy internals) live until exit anyway, and frozen
-they are left out of every collection, the one at interpreter shutdown
-included: that pass over numpy's ~32k container objects took a cold
-command 28-40 ms of teardown, against 9-10 ms frozen.  main() changes
-nothing about collection, because in-process callers run it many times
-and frozen objects are never collected.
+console script, end in run().  In a process that run() started,
+_load_back_end turns cyclic garbage collection off while numpy and the
+back end import, then freezes every object that exists by then and
+turns collection back on, so the command runs with it.  The startup
+objects (modules, classes, numpy internals) live until exit anyway, and
+frozen they are left out of every collection, the one at interpreter
+shutdown included: that pass over numpy's ~32k container objects took a
+cold command 28-40 ms of teardown, against 9-10 ms frozen.  main()
+changes nothing about collection, because in-process callers run it
+many times and frozen objects are never collected.
 
 Exit codes: 0 success; 2 validation failure, malformed input included: a
 bad grid, --base, --project, --theta or --k, a spec or motion file that is
 not UTF-8 or not a JSON object, an empty psi or a psi entry that is not
-a string, a non-integer n, a domain range that is not two finite
-numbers, a motion entry that is not a finite number; 3 parse failure (a
-non-finite number literal included); 4 numeric failure (quadrature /
-degeneracy).
+a string, an n that is not an integer (true and false included), a
+domain range that is not two finite numbers, a motion entry that is not
+a finite number; 3 parse failure (a non-finite number literal included);
+4 numeric failure (quadrature / degeneracy).
 """
 
 from __future__ import annotations
 
-import gc
-
-if __name__ == "__main__":  # pragma: no cover
-    gc.disable()  # no collection while numpy and dnsurf import; run() freezes them
-
 import argparse
+import gc
 import json
 import math
 import os
 import sys
 
-import numpy as np
-
-from . import geom, sexpr
+from . import sexpr
 from .errors import (
     ChartModelError,
     DegeneratePointError,
@@ -71,7 +69,7 @@ from .errors import (
     RootDomainError,
     SurfaceConditionError,
 )
-from .holo import Box, HoloCurve
+from .value import Box
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -99,6 +97,39 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# -- back end ------------------------------------------------------------
+
+#: The back end, bound by _load_back_end once a command's input has passed.
+np = geom = holo = canon = family = None
+
+
+def _load_back_end(args) -> None:
+    """Import numpy, holo and geom, and canon or family when args.command
+    needs it, into this module's namespace.  When run() started the
+    process (args.process_entry), no collection runs while they import,
+    and every object alive by then is frozen before the command runs (see
+    the module docstring)."""
+    global np, geom, holo, canon, family
+    if args.process_entry:
+        gc.disable()
+    import numpy as np
+
+    from . import geom, holo
+
+    if args.command == "canonize":
+        from . import canon
+    elif args.command == "family":
+        from . import family
+    if args.process_entry:
+        gc.freeze()
+        gc.enable()
+
+
+def _surface(exprs, box: Box):
+    """The validated surface patch of a spec's expressions on its box."""
+    return geom.make_surface(holo.HoloCurve.from_exprs(exprs, box))
+
+
 # -- spec loading --------------------------------------------------------
 
 def _read_json_object(path: str, error):
@@ -123,7 +154,9 @@ def load_spec(path: str):
     if not psi_texts:
         raise SurfaceConditionError(f"spec {name}: psi has no components")
     n = spec.get("n", len(psi_texts))
-    if not isinstance(n, int) or n != len(psi_texts):
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise SurfaceConditionError(f"spec {name}: n must be an integer, got {n!r}")
+    if n != len(psi_texts):
         raise SurfaceConditionError(
             f"spec {name}: n = {n!r} but {len(psi_texts)} psi components"
         )
@@ -158,16 +191,12 @@ def _load_box(dom: dict, name: str) -> Box:
     raise SurfaceConditionError(f"spec {name}: domain needs a/b or u/v ranges")
 
 
-def build_surface(path: str):
-    """(name, exprs, surface) of the spec at path."""
-    name, exprs, box = load_spec(path)
-    return name, exprs, geom.make_surface(HoloCurve.from_exprs(exprs, box))
-
-
 # -- commands ------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    name, _exprs, S = build_surface(args.spec)
+    name, exprs, box = load_spec(args.spec)
+    _load_back_end(args)
+    S = _surface(exprs, box)
     rec = S.validation
     g = geom.grid_quantities(S, 33, 33, richardson=False)
     degenerate = int(np.sum(g["class"] == 0))
@@ -205,9 +234,11 @@ def _inset_box(box: Box, margin: float) -> Box:
 
 def cmd_invariants(args) -> int:
     w, h = _parse_grid(args.grid)
-    name, _exprs, S = build_surface(args.spec)
+    name, exprs, box = load_spec(args.spec)
+    _load_back_end(args)
+    S = _surface(exprs, box)
     # inset so the laplacian stencil keeps its margin at every grid point
-    box = _inset_box(S.domain, 2.0 * geom.H_FD)
+    box = _inset_box(box, 2.0 * geom.H_FD)
     g = geom.grid_quantities(S, w, h, box=box)
     cols = [g[c] for c in ("u", "v", "E", "K_proj", "K_biv", "K_lap",
                            "nu", "mu", "kappa", "gauss_residual")]
@@ -226,20 +257,18 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_canonize(args) -> int:
-    from . import canon
-    from .dnum import DNum
-
     w, h = _parse_grid(args.grid)
-    name, _exprs, S = build_surface(args.spec)
+    name, exprs, box = load_spec(args.spec)
     if args.base:
         try:
             u, v = (float(x) for x in args.base.split(","))
         except ValueError:
             raise GridError(f"bad --base {args.base!r}; expected u,v") from None
-        base = DNum(u, v)
-    else:
-        base = None
-    chart = canon.canonize(S, base)
+    _load_back_end(args)
+    from .dnum import DNum  # loaded by canon
+
+    S = _surface(exprs, box)
+    chart = canon.canonize(S, DNum(u, v) if args.base else None)
     residual = canon.verify_canonical(S, chart)
     report = {
         "surface": name,
@@ -282,42 +311,51 @@ def _derived_path(path: str, suffix: str) -> str:
     return os.path.splitext(path)[0] + suffix
 
 
-def cmd_family(args) -> int:
-    from . import family
-
-    name, exprs, S = build_surface(args.spec)
-    box = S.domain
+def _family_param(args):
+    """The checked parameter of the family op: theta, k, the motion file's
+    (A, b), or None for conjugate."""
     op = args.op
     if op == "associated":
-        theta = args.theta
-        if not abs(theta) <= _MAX_EXP_ARG:  # also refuses nan
+        if not abs(args.theta) <= _MAX_EXP_ARG:  # also refuses nan
             raise SurfaceConditionError(
-                f"associated needs a finite --theta with e^|theta| finite, got {theta:g}"
+                f"associated needs a finite --theta with e^|theta| finite, got {args.theta:g}"
             )
-        new_exprs, new_box = family.associated_exprs(exprs, box, theta)
-        new_name = f"{name}-associated-{theta:g}"
+        return args.theta
+    if op == "homothety":
+        if args.k is None or not 0 < args.k < math.inf:
+            raise SurfaceConditionError("homothety needs a finite --k > 0")
+        return args.k
+    if op == "motion":
+        if not args.motion:
+            raise MotionError("motion op needs --motion matrix-file")
+        mdata = _read_json_object(args.motion, MotionError)
+        return mdata["A"], mdata["b"]
+    return None
+
+
+def cmd_family(args) -> int:
+    name, exprs, box = load_spec(args.spec)
+    op, param = args.op, _family_param(args)
+    _load_back_end(args)
+    S = _surface(exprs, box)
+    if op == "associated":
+        new_exprs, new_box = family.associated_exprs(exprs, box, param)
+        new_name = f"{name}-associated-{param:g}"
     elif op == "conjugate":
         new_exprs, new_box = family.conjugate_exprs(exprs, box)
         new_name = f"{name}-conjugate"
     elif op == "homothety":
-        k = args.k
-        if k is None or not 0 < k < math.inf:
-            raise SurfaceConditionError("homothety needs a finite --k > 0")
-        new_exprs, new_box = family.homothety_exprs(exprs, box, k)
-        new_name = f"{name}-homothety-{k:g}"
+        new_exprs, new_box = family.homothety_exprs(exprs, box, param)
+        new_name = f"{name}-homothety-{param:g}"
     elif op == "motion":
-        if not args.motion:
-            raise MotionError("motion op needs --motion matrix-file")
-        mdata = _read_json_object(args.motion, MotionError)
-        M = family.Motion(mdata["A"], mdata["b"])
-        new_exprs, new_box = family.motion_exprs(exprs, box, M)
+        new_exprs, new_box = family.motion_exprs(exprs, box, family.Motion(*param))
         new_name = f"{name}-motion"
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(op)
 
     # the residual measures the surface of the spec that is written; E on
     # the 33x33 grids of both domains, index order [b, a]
-    derived = geom.make_surface(HoloCurve.from_exprs(new_exprs, new_box))
+    derived = _surface(new_exprs, new_box)
     E = geom.grid_quantities(S, 33, 33, richardson=False, box=box)["E"]
     E_new = geom.grid_quantities(derived, 33, 33, richardson=False, box=new_box)["E"]
     if op == "conjugate":
@@ -325,7 +363,7 @@ def cmd_family(args) -> int:
         # the a axis: the same-orientation energy at t is -E_new(j t)
         label, diff = "E^ + E", E_new[:, ::-1] - E
     elif op == "homothety":
-        label, diff = "E^ - k^2 E", E_new - k * k * E
+        label, diff = "E^ - k^2 E", E_new - param * param * E
     else:
         label = "E_theta - E" if op == "associated" else "E^ - E"
         diff = E_new - E
@@ -349,14 +387,16 @@ def cmd_family(args) -> int:
 
 def cmd_mesh(args) -> int:
     w, h = _parse_grid(args.grid)
-    name, _exprs, S = build_surface(args.spec)
+    name, exprs, box = load_spec(args.spec)
+    n = len(exprs)
     try:
         idx = [int(x) for x in args.project.split(",")]
     except ValueError:
         idx = []  # reported as malformed just below
-    if len(idx) != 3 or len(set(idx)) != 3 or any(i < 0 or i >= S.n for i in idx):
-        raise GridError(f"--project needs 3 distinct indices below {S.n}")
-    box = S.domain
+    if len(idx) != 3 or len(set(idx)) != 3 or any(i < 0 or i >= n for i in idx):
+        raise GridError(f"--project needs 3 distinct indices below {n}")
+    _load_back_end(args)
+    S = _surface(exprs, box)
     x = geom.position_grid(S, np.linspace(box.a0, box.a1, w), np.linspace(box.b0, box.b1, h))
     # two triangles per lattice cell, from its corner v00 (1-based, row-major)
     v00 = np.arange(h - 1)[:, None] * w + np.arange(w - 1) + 1
@@ -444,7 +484,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run the command on argv (default sys.argv[1:]) in this process and
+    return its exit code."""
+    return _main(argv, process_entry=False)
+
+
+def run() -> None:
+    """Process entry: exit with the code of the command on sys.argv,
+    freezing the startup objects once the back end has imported (see the
+    module docstring)."""
+    sys.exit(_main(None, process_entry=True))
+
+
+def _main(argv, process_entry: bool) -> int:
+    args = _build_parser().parse_args(argv, argparse.Namespace(process_entry=process_entry))
     try:
         return args.func(args)
     except ParseError as exc:
@@ -472,14 +525,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-def run() -> None:
-    """Process entry: freeze the startup objects, collect from here on and
-    exit with main()'s code on sys.argv (see the module docstring)."""
-    gc.freeze()
-    gc.enable()
-    sys.exit(main())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,10 +16,8 @@ import re as _re
 import numpy as np
 
 from .errors import NonInvertibleError, RootDomainError
+from .kernels import EPS_CLS
 from .value import Value, setfield
-
-#: Default relative tolerance used when deciding membership in the null cone.
-EPS_CLS = 1e-9
 
 
 class DClass(enum.Enum):

@@ -14,7 +14,6 @@ construction is canon.transport_chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from . import sexpr
 from .errors import MotionError
 from .geom import SurfacePatch, make_surface
 from .holo import Box, HoloCurve, HoloMap, RealFn1
+from .value import Value, setfield
 
 #: Residual tolerance for membership of A in O(R^n_1), relative to
 #: max(1, max |A_ij|^2): a boost by beta has entries of size cosh(beta), and
@@ -29,17 +29,15 @@ from .holo import Box, HoloCurve, HoloMap, RealFn1
 MOTION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Motion:
+class Motion(Value):
     """A Minkowski motion x -> A x + b (possibly improper)."""
 
-    A: np.ndarray
-    b: np.ndarray
+    __slots__ = _fields = ("A", "b")
 
-    def __post_init__(self):
+    def __init__(self, A, b):
         try:
-            A = np.asarray(self.A, dtype=float)
-            b = np.asarray(self.b, dtype=float)
+            A = np.asarray(A, dtype=float)
+            b = np.asarray(b, dtype=float)
         except (TypeError, ValueError):
             raise MotionError("motion A and b must be arrays of numbers") from None
         if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
@@ -52,8 +50,8 @@ class Motion:
             raise MotionError(
                 f"A is not a Minkowski motion: |A^T eta A - eta| = {residual:.3e}"
             )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        setfield(self, "A", A)
+        setfield(self, "b", b)
 
     @property
     def n(self) -> int:

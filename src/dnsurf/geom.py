@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dnum import DNum, EPS_CLS
 from .errors import (
     DegeneratePointError,
     GridError,
@@ -24,6 +23,7 @@ from .errors import (
     SurfaceConditionError,
 )
 from .holo import Box, HoloCurve, sample
+from .kernels import EPS_CLS, hyperbolic_laplacian
 from .value import Value, setfield
 
 #: Relative tolerance for the isothermal residual |Psi'^2| on the grid.
@@ -312,6 +312,8 @@ def _first(mask: np.ndarray, a: np.ndarray, b: np.ndarray):
     mask = np.broadcast_to(mask, (b.size, a.size))
     if not mask.any():
         return None
+    from .dnum import DNum
+
     j, i = np.unravel_index(int(np.argmax(mask)), mask.shape)
     return (j, i), DNum.from_null(float(a[i]), float(b[j]))
 
@@ -395,10 +397,8 @@ def mean_curvature_residual(x: np.ndarray, du: float, dv: float) -> float:
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[0] < 3 or x.shape[1] < 3:
         raise GridError("need a (nv, nu, n) sample with nv, nu >= 3")
-    from . import kernels
-
     acc = 0.0
     for k in range(x.shape[2]):
-        lap = kernels.hyperbolic_laplacian(x[:, :, k], du, dv)
+        lap = hyperbolic_laplacian(x[:, :, k], du, dv)
         acc = acc + lap**2
     return float(np.max(np.sqrt(acc)))

@@ -11,20 +11,24 @@ then reduces to independent 1-D problems on the two axes.
 
 The batched grids of dnsurf.geom read the per-axis functions through
 sample().  Evaluation at one double number, HoloMap.eval and
-HoloCurve.eval, serves the per-point route of dnsurf.pointwise; the
-curve's value is a mink.DVec, and mink is imported only when one is built.
+HoloCurve.eval, serves the per-point route of dnsurf.pointwise; dnum and
+mink, whose DNum and DVec it returns, are imported only when one is built.
+The domain Box lives in dnsurf.value, so that the CLI checks it before
+numpy loads; it is re-exported here.
 """
 
 from __future__ import annotations
 
-import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import sexpr
-from .dnum import DNum
-from .errors import GridError, OutOfDomainError
-from .value import Value, setfield
+from .errors import GridError
+from .value import Box, Value, setfield
+
+if TYPE_CHECKING:
+    from .dnum import DNum
 
 
 class RealFn1(Value):
@@ -64,37 +68,6 @@ def sample(f, x):
     return float(y) if y.ndim == 0 else y
 
 
-# -- domains -------------------------------------------------------------
-
-class Box(Value):
-    """Rectangle [a0, a1] x [b0, b1] in null coordinates (a, b)."""
-
-    __slots__ = _fields = ("a0", "a1", "b0", "b1")
-
-    def __init__(self, a0: float, a1: float, b0: float, b1: float):
-        setfield(self, "a0", a0)
-        setfield(self, "a1", a1)
-        setfield(self, "b0", b0)
-        setfield(self, "b1", b1)
-        if not all(map(math.isfinite, (self.a0, self.a1, self.b0, self.b1))):
-            raise GridError(f"non-finite domain box {self}")
-        if not (self.a0 < self.a1 and self.b0 < self.b1):
-            raise GridError(f"empty domain box {self}")
-
-    def check(self, t: DNum):
-        if not (self.a0 - 1e-12 <= t.p <= self.a1 + 1e-12):
-            raise OutOfDomainError(
-                f"null coordinate a={t.p!r} outside [{self.a0}, {self.a1}]"
-            )
-        if not (self.b0 - 1e-12 <= t.m <= self.b1 + 1e-12):
-            raise OutOfDomainError(
-                f"null coordinate b={t.m!r} outside [{self.b0}, {self.b1}]"
-            )
-
-    def swapped(self) -> "Box":
-        return Box(self.b0, self.b1, self.a0, self.a1)
-
-
 # -- holomorphic maps ----------------------------------------------------
 
 class HoloMap(Value):
@@ -115,9 +88,11 @@ class HoloMap(Value):
 
     def eval(self, t: DNum) -> DNum:
         self.domain.check(t)
-        return DNum.from_null(self.fminus.f(t.p), self.fplus.f(t.m))
+        return self.eval_unchecked(t)
 
     def eval_unchecked(self, t: DNum) -> DNum:
+        from .dnum import DNum
+
         return DNum.from_null(self.fminus.f(t.p), self.fplus.f(t.m))
 
     def differentiate(self) -> "HoloMap":

@@ -1,8 +1,10 @@
-"""Numeric kernels in plain numpy.
+"""Numeric kernels in plain numpy, and the null-cone tolerance.
 
 ``cumulative_simpson`` feeds the canonical-chart quadrature in ``canon``;
 ``hyperbolic_laplacian`` feeds the finite-difference curvature route in
-``geom``.  ``BACKEND`` names the implementation for reports.
+``geom``.  ``EPS_CLS`` is the one null-cone tolerance of ``dnum.classify``
+and of the batched tests in ``geom`` and ``canon``; it lives here so that
+geom needs no ``dnum``.  ``BACKEND`` names the implementation for reports.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
+
+#: Default relative tolerance used when deciding membership in the null cone.
+EPS_CLS = 1e-9
 
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:

@@ -12,21 +12,21 @@ Only entire functions are admitted, so the componentwise null-basis
 extension of any well-formed expression is its unique holomorphic
 extension.  The literal j lowers to the constants -1 / +1 on the two null
 axes (j = qbar - q).
+
+Parsing, serialization and the calculus are symbolic: importing this
+module imports neither numpy nor dnsurf.dnum, so the CLI parses and
+checks a spec before numpy loads.  eval_expr imports numpy on its first
+call, and dnsurf.dnum on its first call at a DNum.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .dnum import DNum, J, elementary
-from .errors import ParseError
+from .errors import NonInvertibleError, ParseError
 from .value import Value, setfield
 
 FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp")
-
-_NP_FUNC = {name: getattr(np, name) for name in FUNCTIONS}
 
 
 # -- AST -----------------------------------------------------------------
@@ -346,7 +346,8 @@ def _ser(e: Expr, prec: int) -> str:
         s = _ser(e.left, p) + e.op + _ser(e.right, p + 1)
         return f"({s})" if prec > p else s
     if isinstance(e, Pow):
-        return _ser(e.base, 4) + f"^{e.exp}"
+        s = _ser(e.base, 4) + f"^{e.exp}"
+        return f"({s})" if prec > 3 else s  # ^ takes no power as its base
     if isinstance(e, App):
         return f"{e.func}({_ser(e.arg, 0)})"
     raise TypeError(f"not an Expr: {e!r}")
@@ -388,7 +389,11 @@ def diff_t(e: Expr) -> Expr:
 
 
 def subst_j(e: Expr, jval: float) -> Expr:
-    """Replace j by a real constant, folding as we go."""
+    """Replace j by a real constant, folding as we go.
+
+    A divisor that folds to 0, such as 1+j at j = -1, is not invertible
+    there: NonInvertibleError names it.
+    """
     if isinstance(e, Jay):
         return Num(jval)
     if isinstance(e, (Num, Pi, Var)):
@@ -397,6 +402,8 @@ def subst_j(e: Expr, jval: float) -> Expr:
         return neg(subst_j(e.arg, jval))
     if isinstance(e, Bin):
         a, b = subst_j(e.left, jval), subst_j(e.right, jval)
+        if e.op == "/" and _num(b) == 0.0:
+            raise NonInvertibleError(f"divisor {serialize(e.right)} is 0 where j = {jval:g}")
         return {"+": add, "-": sub, "*": mul, "/": div}[e.op](a, b)
     if isinstance(e, Pow):
         return powi(subst_j(e.base, jval), e.exp)
@@ -425,14 +432,22 @@ def subst_t(e: Expr, repl: Expr) -> Expr:
 
 # -- evaluation ----------------------------------------------------------
 
+#: numpy's function of each name in FUNCTIONS, filled by the first eval_expr.
+_NP_FUNC: dict = {}
+
+
 def eval_expr(e: Expr, t, jval=None):
     """Evaluate e at t.
 
     t may be a float, a numpy array (with jval = +-1 fixed by the caller),
     or a DNum for direct evaluation over the algebra (jval defaults to j).
     """
-    if isinstance(t, DNum):
+    if isinstance(t, Value):  # a DNum, the one Value that is a point
         return _eval_dnum(e, t)
+    if not _NP_FUNC:
+        import numpy as np
+
+        _NP_FUNC.update((name, getattr(np, name)) for name in FUNCTIONS)
     return _eval_real(e, t, jval if jval is not None else 1.0)
 
 
@@ -464,7 +479,9 @@ def _eval_real(e: Expr, x, jval: float):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _eval_dnum(e: Expr, t: DNum) -> DNum:
+def _eval_dnum(e: Expr, t):
+    from .dnum import DNum, J, elementary
+
     if isinstance(e, Num):
         return DNum(e.value)
     if isinstance(e, Pi):

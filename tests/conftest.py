@@ -19,7 +19,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 def _load(name):
-    return cli.build_surface(str(GALLERY / name))[2]
+    _name, exprs, box = cli.load_spec(str(GALLERY / name))
+    return geom.make_surface(holo.HoloCurve.from_exprs(exprs, box))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,5 @@
 """Canonical coordinates: construction, verification, uniqueness."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -55,7 +53,7 @@ def test_verify_detects_map_off_its_derivative(s2, s5):
         chart = canonize(S)
         assert verify_canonical(S, chart) <= 1e-8
         m = chart.sminus
-        off = replace(chart, sminus=replace(m, fwd=lambda x, _f=m.fwd: 1.001 * _f(x)))
+        off = chart.replace(sminus=m.replace(fwd=lambda x, _f=m.fwd: 1.001 * _f(x)))
         assert verify_canonical(S, off) >= 1e-4
 
 

@@ -287,6 +287,7 @@ MALFORMED = {
     "spec-not-utf8": lambda d: ["check", _write(d / "spec.json",
                                                 json.dumps(S1_SPEC).encode("utf-16"))],
     "n-not-integer": _check_spec(n="three"),
+    "n-boolean": _check_spec(n=True, psi=["t"]),
     "psi-entry-not-string": _check_spec(psi=["t", 1, "-cos(t)"]),
     "domain-ab-three-values": _check_spec(domain={"a": [-2.0, -1.0, 0.0], "b": [0.4, 2.0]}),
     "domain-ab-bound-not-number": _check_spec(domain={"a": [-2.0, 0.0], "b": ["x", 2.0]}),
@@ -319,6 +320,24 @@ def test_empty_psi_is_refused_by_name(tmp_path, capsys, n):
     spec = {"name": "s1", "psi": [], "domain": S1_SPEC["domain"], **n}
     assert run_cli("check", _write(tmp_path / "spec.json", spec)) == 2
     assert capsys.readouterr().err == "validation error: spec s1: psi has no components\n"
+
+
+@pytest.mark.parametrize("n", [True, False])
+def test_boolean_n_is_refused_by_name(tmp_path, capsys, n):
+    """JSON true is the int 1 to Python; a one-component spec with it used
+    to pass the n check and be refused only by the isothermal check."""
+    spec = {**S1_SPEC, "n": n, "psi": ["t"]}
+    assert run_cli("check", _write(tmp_path / "spec.json", spec)) == 2
+    assert capsys.readouterr().err == f"validation error: spec s1: n must be an integer, got {n}\n"
+
+
+def test_divisor_vanishing_on_an_axis_is_numeric_failure(tmp_path, capsys):
+    """1 + j is a zero divisor, so 1/(1+j) has no value on the q axis; the
+    a-axis lowering divided the float 1.0 by 0.0 and crashed."""
+    spec = _write(tmp_path / "spec.json", {**S1_SPEC, "psi": ["t + 1/(1+j)", "sin(t)", "-cos(t)"]})
+    for argv in (["check", spec], ["mesh", spec, "--out", tmp_path / "m.obj"]):
+        assert run_cli(*argv) == 4
+        assert capsys.readouterr().err == "numeric error: divisor 1+j is 0 where j = -1\n"
 
 
 @pytest.mark.parametrize("out, csv", [

@@ -3,6 +3,7 @@ command loads in a fresh interpreter, and how the process entry handles
 cyclic garbage collection around those imports."""
 
 import gc
+import json
 import pathlib
 import subprocess
 import sys
@@ -16,53 +17,88 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 GALLERY = ROOT / "gallery"
 
 #: Runs dnsurf.cli.main on argv[2:] (or only `import dnsurf` when argv[2:]
-#: is empty), writing into the directory argv[1], then prints the loaded
-#: dnsurf submodules, and numpy and dataclasses if loaded, one per line.
+#: is empty), writing into the directory argv[1], then prints main's exit
+#: code (None without a command) and the loaded dnsurf submodules, and
+#: numpy and dataclasses if loaded, one per line.
 _LOADED = """
 import sys
 argv = [a.replace("OUT", sys.argv[1]) for a in sys.argv[2:]]
+rc = None
 if argv:
     import dnsurf.cli
-    dnsurf.cli.main(argv)
+    rc = dnsurf.cli.main(argv)
 else:
     import dnsurf
+print(rc)
 print("\\n".join(m for m in sys.modules
                 if m.startswith("dnsurf.") or m in ("numpy", "dataclasses")))
 """
 
 #: What the commands that need neither a chart nor a construction leave out.
 _NOT_FOR_GRID_COMMANDS = {"dnsurf.canon", "dnsurf.family", "dnsurf.pointwise", "dnsurf.mink",
-                          "dataclasses"}
+                          "dnsurf.dnum", "dataclasses"}
 
 
-def _loaded(tmp_path, *argv) -> set[str]:
+def _loaded(tmp_path, *argv) -> tuple[str, set[str]]:
     r = subprocess.run([sys.executable, "-c", _LOADED, str(tmp_path), *map(str, argv)],
                        capture_output=True, text=True, check=True)
-    return set(r.stdout.split())
+    rc, *loaded = r.stdout.split()
+    return rc, set(loaded)
 
 
 @pytest.mark.parametrize("argv", [
     ["check", GALLERY / "s1.json"],
     ["invariants", GALLERY / "s1.json", "--grid", "4x4", "--out", "OUT/i.csv"],
     ["mesh", GALLERY / "s1.json", "--grid", "4x4", "--out", "OUT/m.obj"],
-    ["invariants", GALLERY / "s1.json", "--grid", "1x4", "--out", "OUT/i.csv"],
-], ids=["check", "invariants", "mesh", "bad-grid"])
+], ids=["check", "invariants", "mesh"])
 def test_grid_commands_load_no_chart_construction_or_pointwise_module(tmp_path, argv):
-    loaded = _loaded(tmp_path, *argv)
+    _rc, loaded = _loaded(tmp_path, *argv)
     assert "dnsurf.geom" in loaded
     assert not loaded & _NOT_FOR_GRID_COMMANDS
 
 
 def test_canonize_and_family_load_only_their_own_module(tmp_path):
-    loaded = _loaded(tmp_path, "canonize", GALLERY / "s1.json", "--out", "OUT/c.json")
+    """Neither builds a dataclass; dnum, for the chart's base point and
+    its per-point inverse, is loaded by canonize alone."""
+    _rc, loaded = _loaded(tmp_path, "canonize", GALLERY / "s1.json", "--out", "OUT/c.json")
     assert "dnsurf.canon" in loaded and "dnsurf.family" not in loaded
-    loaded = _loaded(tmp_path, "family", GALLERY / "s1.json", "--op", "conjugate",
-                     "--out", "OUT/f.json")
+    assert "dnsurf.dnum" in loaded and "dataclasses" not in loaded
+    _rc, loaded = _loaded(tmp_path, "family", GALLERY / "s1.json", "--op", "conjugate",
+                          "--out", "OUT/f.json")
     assert "dnsurf.family" in loaded and "dnsurf.canon" not in loaded
+    assert not loaded & {"dnsurf.dnum", "dataclasses"}
+
+
+def _write_spec(directory, changes):
+    """A spec file: s1 with the given dict of changes, or else the JSON
+    value given."""
+    s1 = json.loads((GALLERY / "s1.json").read_text())
+    path = directory / "spec.json"
+    path.write_text(json.dumps({**s1, **changes} if isinstance(changes, dict) else changes))
+    return path
+
+
+#: Inputs that the front end refuses, with their exit codes: a bad --grid,
+#: a psi entry that does not parse, a spec that is not a JSON object.
+FRONT_END_FAILURES = {
+    "bad-grid": ("2", lambda d: ["invariants", GALLERY / "s1.json", "--grid", "1x4",
+                                 "--out", "OUT/i.csv"]),
+    "bad-parse": ("3", lambda d: ["check", _write_spec(d, {"psi": ["t", "sin(t", "-cos(t)"]})]),
+    "spec-not-object": ("2", lambda d: ["check", _write_spec(d, [])]),
+}
+
+
+@pytest.mark.parametrize("case", list(FRONT_END_FAILURES))
+def test_front_end_failures_load_no_numpy(tmp_path, case):
+    """Malformed input is refused before numpy, holo or geom imports."""
+    code, argv = FRONT_END_FAILURES[case]
+    rc, loaded = _loaded(tmp_path, *argv(tmp_path))
+    assert rc == code
+    assert not loaded & {"numpy", "dnsurf.holo", "dnsurf.geom"}
 
 
 def test_import_dnsurf_loads_no_submodule_and_no_numpy(tmp_path):
-    assert _loaded(tmp_path) == set()
+    assert _loaded(tmp_path) == ("None", set())
 
 
 def test_namespace_resolves_every_public_name():
@@ -81,8 +117,8 @@ def test_namespace_resolves_every_public_name():
 #: Runs the CLI process entry on argv[2:], as `python -m dnsurf.cli` does
 #: when argv[1] is "module" and as the dnsurf console script does when it
 #: is "run".  Prints the exit code, whether collection is on, the freeze
-#: count, and how many collections started with nothing frozen while numpy
-#: was loaded.
+#: count, how many collections started with nothing frozen while numpy
+#: was loaded, and whether numpy was loaded.
 _ENTRY = """
 import gc, runpy, sys
 how, sys.argv[1:] = sys.argv[1], sys.argv[2:]
@@ -96,31 +132,42 @@ try:
         import dnsurf.cli
         dnsurf.cli.run()
 except SystemExit as exc:
-    print(exc.code, gc.isenabled(), gc.get_freeze_count(), len(early))
+    print(exc.code, gc.isenabled(), gc.get_freeze_count(), len(early), "numpy" in sys.modules)
 """
 
 
 def _entry(how, *argv):
     r = subprocess.run([sys.executable, "-c", _ENTRY, how, *map(str, argv)],
                        capture_output=True, text=True, check=True)
-    code, enabled, frozen, early = r.stdout.splitlines()[-1].split()
-    return int(code), enabled == "True", int(frozen), int(early)
+    code, enabled, frozen, early, numpy = r.stdout.splitlines()[-1].split()
+    return int(code), enabled == "True", int(frozen), int(early), numpy == "True"
 
 
 def test_module_entry_pauses_collection_while_importing_and_freezes():
     """numpy alone leaves tens of thousands of container objects at import;
     python -m dnsurf.cli collects none of them while importing, freezes
     them before the command and runs the command with collection on."""
-    code, enabled, frozen, early = _entry("module", "check", GALLERY / "s1.json")
+    code, enabled, frozen, early, _numpy = _entry("module", "check", GALLERY / "s1.json")
     assert code == 0 and enabled
     assert frozen > 10_000
     assert early == 0
 
 
 def test_run_entry_freezes_startup_objects():
-    code, enabled, frozen, _early = _entry("run", "check", GALLERY / "s1.json")
+    """The console script imports the module before it calls run(); numpy
+    still imports with collection paused, as under -m."""
+    code, enabled, frozen, early, _numpy = _entry("run", "check", GALLERY / "s1.json")
     assert code == 0 and enabled
     assert frozen > 10_000
+    assert early == 0
+
+
+def test_module_entry_refuses_bad_parse_without_numpy(tmp_path):
+    """Under -m, a spec that does not parse exits 3 with nothing imported
+    for the back end and nothing frozen."""
+    spec = _write_spec(tmp_path, {"psi": ["t", "sin(t", "-cos(t)"]})
+    code, enabled, frozen, _early, numpy = _entry("module", "check", spec)
+    assert (code, enabled, frozen, numpy) == (3, True, 0, False)
 
 
 def test_main_in_process_leaves_collection_as_it_was(tmp_path):

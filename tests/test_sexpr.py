@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from dnsurf import sexpr
 from dnsurf.dnum import DNum
-from dnsurf.errors import ParseError
+from dnsurf.errors import NonInvertibleError, ParseError
 from dnsurf.holo import Box, HoloMap
-from dnsurf.sexpr import App, Bin, Jay, Num, Pow, Var, diff_t, eval_expr, parse, serialize
+from dnsurf.sexpr import (
+    App, Bin, Jay, Num, Pi, Pow, Var, diff_t, eval_expr, parse, serialize, subst_j,
+)
 
 
 def test_parse_examples():
@@ -108,3 +112,82 @@ def test_sin_at_jv():
     f = HoloMap.from_expr(parse("sin(t)"), Box(-2, 2, -2, 2))
     z = f.eval(DNum(0.0, 0.7))
     np.testing.assert_allclose([z.re, z.im], [0.0, math.sin(0.7)], atol=1e-15)
+
+
+# -- properties over generated expressions ---------------------------------
+
+def _not_literal_zero(e):
+    return sexpr._num(e) != 0.0
+
+
+def _grow(sub):
+    """One more level of an expression, through the folding constructors
+    that build every derived expression and the raw nodes that parse builds."""
+    return st.one_of(
+        st.builds(sexpr.add, sub, sub),
+        st.builds(sexpr.sub, sub, sub),
+        st.builds(sexpr.mul, sub, sub),
+        st.builds(sexpr.div, sub, sub.filter(_not_literal_zero)),
+        st.builds(sexpr.neg, sub),
+        st.builds(sexpr.powi, sub, st.integers(0, 3)),
+        st.builds(Bin, st.sampled_from("+-*"), sub, sub),
+        st.builds(Bin, st.just("/"), sub, sub.filter(_not_literal_zero)),
+        st.builds(App, st.sampled_from(sexpr.FUNCTIONS), sub),
+    )
+
+
+#: Literals are small integers and halves, so that folding them is exact.
+EXPRS = st.recursive(
+    st.one_of(
+        st.integers(-3, 3).map(lambda k: Num(float(k))),
+        st.sampled_from([0.5, -2.5]).map(Num),
+        st.sampled_from([Pi(), Var(), Jay()]),
+    ),
+    _grow,
+    max_leaves=10,
+)
+
+_X = np.array([-0.7, 0.3, 1.1])
+
+
+def _lowered(e, jval):
+    """The values at _X of e lowered onto the null axis j = jval, or None
+    when lowering refuses a divisor that vanishes there."""
+    try:
+        f = subst_j(e, jval)
+    except NonInvertibleError:
+        return None
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(np.asarray(eval_expr(f, _X), dtype=float), _X.shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRS)
+def test_serialize_round_trips_through_parse(e):
+    """parse(serialize(e)) has the value of e, bit for bit, on both null
+    axes, and is itself a fixed point of parse(serialize(.)).  A negative
+    literal comes back as the negation of a positive one."""
+    again = parse(serialize(e))
+    assert parse(serialize(again)) == again
+    for jval in (-1.0, 1.0):
+        np.testing.assert_array_equal(_lowered(again, jval), _lowered(e, jval))
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRS, st.sampled_from([-1.0, 1.0]))
+def test_diff_commutes_with_lowering(e, jval):
+    """d/dt of e lowered onto a null axis (j = -1 or +1) equals the lowered
+    d/dt of e, wherever both are finite."""
+    assume(_lowered(e, jval) is not None)
+    lowered_first = _lowered(diff_t(subst_j(e, jval)), jval)
+    diff_first = _lowered(diff_t(e), jval)
+    both = np.isfinite(lowered_first) & np.isfinite(diff_first)
+    np.testing.assert_allclose(lowered_first[both], diff_first[both], rtol=1e-9, atol=1e-9)
+
+
+def test_lowering_refuses_a_divisor_that_vanishes_on_an_axis():
+    """1 + j is a zero divisor: it lowers to 0 on the q axis."""
+    e = parse("t + 1/(1+j)")
+    assert subst_j(e, 1.0) == Bin("+", Var(), Num(0.5))
+    with pytest.raises(NonInvertibleError, match=r"divisor 1\+j is 0 where j = -1"):
+        subst_j(e, -1.0)
