@@ -26,11 +26,6 @@ _SOURCE = {
     ), "geom"),
     **dict.fromkeys(("HoloCurve", "HoloMap", "RealFn1", "cr_residual"), "holo"),
     **dict.fromkeys(("DVec", "dot", "normsq", "wedge_normsq"), "mink"),
-    **dict.fromkeys((
-        "NormalHyperbola", "PointClass", "PointData", "classify_point", "gauss_K",
-        "hyperbola_at", "hyperbola_sample", "point_data", "project_normal",
-        "second_fundamental",
-    ), "pointwise"),
     **dict.fromkeys(("diff_t", "parse", "serialize"), "sexpr"),
     "Box": "value",
 }

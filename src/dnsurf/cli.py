@@ -40,9 +40,10 @@ Exit codes: 0 success; 2 validation failure, malformed input included: a
 bad grid, --base, --project, --theta or --k, a spec or motion file that is
 not UTF-8 or not a JSON object, an empty psi or a psi entry that is not
 a string, an n that is not an integer (true and false included), a
-domain range that is not two finite numbers, a motion entry that is not
-a finite number; 3 parse failure (a non-finite number literal included);
-4 numeric failure (quadrature / degeneracy).
+domain range that is not two finite JSON numbers, a motion entry that is
+not a finite JSON number (a string or true and false included); 3 parse
+failure (a non-finite number literal included); 4 numeric failure
+(quadrature / degeneracy).
 """
 
 from __future__ import annotations
@@ -139,6 +140,10 @@ def _read_json_object(path: str, error):
             data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise error(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise error(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
@@ -165,14 +170,21 @@ def load_spec(path: str):
     return name, exprs, box
 
 
+def _numbers(xs, count=None) -> bool:
+    """xs is a JSON array of numbers (of count entries, if given).  A JSON
+    number is a Python int or float, and true and false are not."""
+    return (isinstance(xs, list) and count in (None, len(xs))
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in xs))
+
+
 def _load_range(dom: dict, key: str, name: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(x) for x in dom[key])
-    except (TypeError, ValueError):
-        raise SurfaceConditionError(
-            f"spec {name}: domain {key} needs two numbers, got {dom[key]!r}"
-        ) from None
-    return lo, hi
+    pair = dom[key]
+    if _numbers(pair, 2):
+        try:
+            return float(pair[0]), float(pair[1])
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise SurfaceConditionError(f"spec {name}: domain {key} needs two numbers, got {pair!r}")
 
 
 def _load_box(dom: dict, name: str) -> Box:
@@ -329,7 +341,10 @@ def _family_param(args):
         if not args.motion:
             raise MotionError("motion op needs --motion matrix-file")
         mdata = _read_json_object(args.motion, MotionError)
-        return mdata["A"], mdata["b"]
+        A, b = mdata["A"], mdata["b"]
+        if not (_numbers(b) and isinstance(A, list) and all(map(_numbers, A))):
+            raise MotionError("motion A and b must be arrays of numbers")
+        return A, b
     return None
 
 

@@ -4,7 +4,9 @@ The algebra splits into two real lines through the idempotents
 q = (1-j)/2 and qbar = (1+j)/2, so every operation reduces to a pair of
 independent real operations on the null components (p, m) = (u-v, u+v).
 The (re, im) pair is the canonical stored form; the null view is computed
-on demand.
+on demand.  A DNum is one point: the chart's base point and the per-point
+inverse of dnsurf.canon.  The batched grids of dnsurf.geom work on the null
+components directly and need no DNum, and this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import enum
 import math
 import re as _re
-
-import numpy as np
 
 from .errors import NonInvertibleError, RootDomainError
 from .kernels import EPS_CLS
@@ -171,23 +171,6 @@ def nth_root_positive(a: DNum, n: int, eps_cls: float = EPS_CLS) -> DNum:
 def exp_j(theta: float) -> DNum:
     """The unit-amplitude element cosh(theta) + j sinh(theta)."""
     return DNum(math.cosh(theta), math.sinh(theta))
-
-
-# -- componentwise elementary functions ---------------------------------
-
-_ENTIRE = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "exp": np.exp,
-}
-
-
-def elementary(name: str, a: DNum) -> DNum:
-    """Apply an entire elementary function componentwise in the null basis."""
-    fn = _ENTIRE[name]
-    return DNum.from_null(float(fn(a.p)), float(fn(a.m)))
 
 
 # -- textual form --------------------------------------------------------

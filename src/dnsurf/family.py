@@ -38,7 +38,7 @@ class Motion(Value):
         try:
             A = np.asarray(A, dtype=float)
             b = np.asarray(b, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise MotionError("motion A and b must be arrays of numbers") from None
         if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
             raise MotionError(f"motion shapes {A.shape}, {b.shape} are inconsistent")

@@ -7,9 +7,6 @@ E = ||Phi||^2 / 2 < 0.  All curvature formulas below are expressed through
 Phi and Phi' only.  Because Phi(a q + b qbar) = Phi-(a) q + Phi+(b) qbar,
 each quantity on an [b, a] grid combines samples taken once per axis
 (_null_samples, _outer_core); nothing here is evaluated point by point.
-
-The per-point route through DNum and mink.DVec, which the tests use as an
-independent reference, is dnsurf.pointwise.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ ISOTHERMAL_TOL = 1e-9
 #: Default absolute scale for deciding K == 0 (superconformal points).
 EPS_K = 1e-8
 
-#: Default finite-difference step for the laplacian curvature formula.
+#: Finite-difference step for the laplacian curvature formula.
 H_FD = 1e-3
 
 
@@ -81,9 +78,9 @@ class SurfacePatch(Value):
         return self.psi.n
 
 
-#: The mink functions that geom bound before the per-point route moved to
-#: pointwise; the benchmark's tracer test (perfbench/tests) still reaches
-#: mink.dot as geom.dot.  mink is imported on first access, not with geom.
+#: mink names that the benchmark's tracer test (perfbench/tests) reaches
+#: through geom, as geom.dot.  mink is imported on first access, not with
+#: geom.
 _MINK_NAMES = ("DVec", "dot", "normsq", "wedge_normsq")
 
 
@@ -158,7 +155,6 @@ def grid_quantities(
     S: SurfacePatch,
     na: int,
     nb: int,
-    h_fd: float = H_FD,
     richardson: bool = True,
     box: Box | None = None,
 ) -> dict:
@@ -166,7 +162,7 @@ def grid_quantities(
 
     Returns 2-D arrays (index order [b, a]) for u, v, E, K_proj, K_biv,
     K_lap, P, Q, the Gauss-equation residual, and the point-class codes.
-    The laplacian entries require the 2*h_fd margin inside the patch
+    The laplacian entries require the 2*H_FD margin inside the patch
     domain; the caller is responsible for choosing a box that has it.
     """
     box = box or S.domain
@@ -195,9 +191,9 @@ def grid_quantities(
             acc = acc + sign * np.log(-_combo(*_null_samples(S.phi, a + sa, b + sb)))
         return acc / (h * h)
 
-    lap = lap_lnE(h_fd)
+    lap = lap_lnE(H_FD)
     if richardson:
-        lap = (4.0 * lap_lnE(h_fd / 2.0) - lap) / 3.0
+        lap = (4.0 * lap_lnE(H_FD / 2.0) - lap) / 3.0
     K_lap = lap / (-norm_phi)
     # ln|E| = ln(-||Phi||^2) - ln 2, so lap ln|E| / E = 2 lap / ||Phi||^2
     gauss_residual = np.abs(2.0 * lap / norm_phi + 2.0 * K_biv)

@@ -10,11 +10,10 @@ Every downstream computation (derivatives, root extraction, canonization)
 then reduces to independent 1-D problems on the two axes.
 
 The batched grids of dnsurf.geom read the per-axis functions through
-sample().  Evaluation at one double number, HoloMap.eval and
-HoloCurve.eval, serves the per-point route of dnsurf.pointwise; dnum and
-mink, whose DNum and DVec it returns, are imported only when one is built.
-The domain Box lives in dnsurf.value, so that the CLI checks it before
-numpy loads; it is re-exported here.
+sample().  eval_unchecked, at one double number, returns a DNum or a
+mink.DVec; dnum and mink are imported only when one is built.  The domain
+Box lives in dnsurf.value, so that the CLI checks it before numpy loads;
+it is re-exported here.
 """
 
 from __future__ import annotations
@@ -86,10 +85,6 @@ class HoloMap(Value):
             domain=domain,
         )
 
-    def eval(self, t: DNum) -> DNum:
-        self.domain.check(t)
-        return self.eval_unchecked(t)
-
     def eval_unchecked(self, t: DNum) -> DNum:
         from .dnum import DNum
 
@@ -125,13 +120,6 @@ class HoloCurve(Value):
     @classmethod
     def from_exprs(cls, exprs, domain: Box) -> "HoloCurve":
         return cls(tuple(HoloMap.from_expr(e, domain) for e in exprs))
-
-    def eval(self, t: DNum):
-        """Psi(t) as a mink.DVec, after checking t against the domain."""
-        from .mink import DVec
-
-        self.domain.check(t)
-        return DVec(tuple(c.eval_unchecked(t) for c in self.components))
 
     def eval_unchecked(self, t: DNum):
         """Psi(t) as a mink.DVec, for a t already checked by the caller."""

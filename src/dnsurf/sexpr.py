@@ -14,9 +14,9 @@ extension.  The literal j lowers to the constants -1 / +1 on the two null
 axes (j = qbar - q).
 
 Parsing, serialization and the calculus are symbolic: importing this
-module imports neither numpy nor dnsurf.dnum, so the CLI parses and
-checks a spec before numpy loads.  eval_expr imports numpy on its first
-call, and dnsurf.dnum on its first call at a DNum.
+module imports no numpy, so the CLI parses and checks a spec before numpy
+loads.  eval_expr evaluates a lowered expression at floats or arrays and
+imports numpy on its first call.
 """
 
 from __future__ import annotations
@@ -380,6 +380,8 @@ def diff_t(e: Expr) -> Expr:
             return sub(da, db)
         if e.op == "*":
             return add(mul(da, e.right), mul(e.left, db))
+        if _num(db) == 0.0:  # a t-free divisor: no square of it to underflow
+            return div(da, e.right)
         return div(sub(mul(da, e.right), mul(e.left, db)), powi(e.right, 2))
     if isinstance(e, Pow):
         return mul(mul(Num(float(e.exp)), powi(e.base, e.exp - 1)), diff_t(e.base))
@@ -437,13 +439,7 @@ _NP_FUNC: dict = {}
 
 
 def eval_expr(e: Expr, t, jval=None):
-    """Evaluate e at t.
-
-    t may be a float, a numpy array (with jval = +-1 fixed by the caller),
-    or a DNum for direct evaluation over the algebra (jval defaults to j).
-    """
-    if isinstance(t, Value):  # a DNum, the one Value that is a point
-        return _eval_dnum(e, t)
+    """Evaluate e at a float or numpy array t, with j = jval (default +1)."""
     if not _NP_FUNC:
         import numpy as np
 
@@ -478,32 +474,3 @@ def _eval_real(e: Expr, x, jval: float):
         return _NP_FUNC[e.func](_eval_real(e.arg, x, jval))
     raise TypeError(f"not an Expr: {e!r}")
 
-
-def _eval_dnum(e: Expr, t):
-    from .dnum import DNum, J, elementary
-
-    if isinstance(e, Num):
-        return DNum(e.value)
-    if isinstance(e, Pi):
-        return DNum(math.pi)
-    if isinstance(e, Var):
-        return t
-    if isinstance(e, Jay):
-        return J
-    if isinstance(e, Neg):
-        return -_eval_dnum(e.arg, t)
-    if isinstance(e, Bin):
-        a = _eval_dnum(e.left, t)
-        b = _eval_dnum(e.right, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
-    if isinstance(e, Pow):
-        return DNum.from_null(_eval_dnum(e.base, t).p ** e.exp, _eval_dnum(e.base, t).m ** e.exp)
-    if isinstance(e, App):
-        return elementary(e.func, _eval_dnum(e.arg, t))
-    raise TypeError(f"not an Expr: {e!r}")

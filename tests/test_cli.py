@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pointwise_ref as ref
 from dnsurf import cli, family, geom, holo, sexpr
 from dnsurf.cli import main
 from dnsurf.dnum import DNum
@@ -228,11 +229,21 @@ def _overflowing_power_spec(d):
     return ["check", spec]
 
 
+def _tiny_divisor_spec(d):
+    """Psi' = 1e200 on the first component, whose square overflows; the
+    t-free divisor 1e-200 squares to 0, so its derivative must not divide
+    by that square."""
+    spec = d / "tiny.json"
+    spec.write_text(json.dumps({**S1_SPEC, "psi": ["t/1e-200", "sin(t)", "-cos(t)"]}))
+    return ["check", spec]
+
+
 @pytest.mark.parametrize("argv", [
     lambda d: ["family", GALLERY / "s1.json", "--op", "associated", "--theta", "400",
                "--out", d / "f.json"],
     _overflowing_power_spec,
-], ids=["theta-400", "t-to-the-1e8"])
+    _tiny_divisor_spec,
+], ids=["theta-400", "t-to-the-1e8", "t-over-1e-200"])
 def test_overflowing_input_is_refused_without_numpy_warnings(tmp_path, argv):
     """Samples that overflow to inf, or whose squares do, exit 2 and numpy
     prints nothing on the way."""
@@ -293,10 +304,24 @@ MALFORMED = {
     "domain-ab-bound-not-number": _check_spec(domain={"a": [-2.0, 0.0], "b": ["x", 2.0]}),
     "domain-uv-three-values": _check_spec(domain={"u": [-0.3, 0.0, 0.3], "v": [0.7, 1.3]}),
     "domain-uv-bound-not-number": _check_spec(domain={"u": [-0.3, 0.3], "v": [None, 1.3]}),
+    # a string or an object iterates as two values and true is the int 1,
+    # so only a type check refuses them; 10^400 overflows float()
+    "domain-ab-string": _check_spec(domain={"a": [-2.0, 0.0], "b": "12"}),
+    "domain-ab-object": _check_spec(domain={"a": {"-2": 1, "0": 2}, "b": [0.4, 2.0]}),
+    "domain-ab-boolean": _check_spec(domain={"a": [-2.0, 0.0], "b": [True, 2.0]}),
+    "domain-ab-huge-integer": _check_spec(domain={"a": [-2.0, 0.0], "b": [0.4, 10**400]}),
+    "spec-integer-too-long": lambda d: ["check", _write(
+        d / "spec.json", json.dumps(S1_SPEC).replace("2.0]}", "1" + "0" * 5000 + "]}"))],
     "motion-entry-not-number": _motion('{"A": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,"x"]],'
                                        ' "b": [0,0,0,0]}'),
     "motion-entry-infinite": _motion('{"A": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],'
                                      ' "b": [Infinity,0,0,0]}'),
+    "motion-entry-string": _motion('{"A": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,"1.0"]],'
+                                   ' "b": [0,0,0,0]}'),
+    "motion-entry-boolean": _motion('{"A": [[true,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],'
+                                    ' "b": [0,0,0,false]}'),
+    "motion-entry-huge-integer": _motion('{"A": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],'
+                                         ' "b": [0,0,0,1' + '0' * 400 + ']}'),
     "theta-overflows-exp": lambda d: ["family", GALLERY / "s1.json", "--op", "associated",
                                       "--theta", "800", "--out", d / "f.json"],
     "theta-not-finite": lambda d: ["family", GALLERY / "s1.json", "--op", "associated",
@@ -427,7 +452,7 @@ def test_mesh_matches_pointwise_psi(tmp_path, s2):
     lines = out.read_text().splitlines()
     box = s2.domain
     want = [
-        [s2.psi.eval_unchecked(DNum.from_null(float(x), float(y)))[i].re for i in proj]
+        [ref.at(s2.psi, DNum.from_null(float(x), float(y)))[i].re for i in proj]
         for y in np.linspace(box.b0, box.b1, h) for x in np.linspace(box.a0, box.a1, w)
     ]
     got = [[float(c) for c in ln.split()[1:]] for ln in lines[: w * h]]

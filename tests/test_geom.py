@@ -1,4 +1,8 @@
-"""Surface kernel: validation, curvatures, classification, hyperbola."""
+"""Surface kernel: validation, curvatures, classification, hyperbola.
+
+Quantities at one point are checked on the batched grids of geom (through
+pointwise_ref.grid_at) and by the per-point reference route alike.
+"""
 
 import math
 import warnings
@@ -6,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dnsurf import canon, geom, pointwise
+import pointwise_ref as ref
+from dnsurf import canon, geom
 from dnsurf.dnum import DNum
 from dnsurf.errors import DegeneratePointError, OutOfDomainError, SurfaceConditionError
 from dnsurf.holo import Box, HoloCurve, HoloMap
@@ -63,9 +68,10 @@ def test_make_surface_rejects_nan_samples(s5):
 def test_point_data_s1_at_half_pi(s1):
     """At t = j pi/2: E = -1, Phi = (1, 0, j), Phi' = (0, -j, 0), K = 1."""
     t = DNum(0.0, math.pi / 2)
-    pd = pointwise.point_data(s1, t)
-    np.testing.assert_allclose(pd.E, -1.0, atol=1e-15)
-    np.testing.assert_allclose(pd.K, 1.0, rtol=1e-12)
+    pd = ref.point_data(s1, t)
+    g = ref.grid_at(s1, t)
+    np.testing.assert_allclose([pd.E, g["E"]], -1.0, atol=1e-15)
+    np.testing.assert_allclose([pd.K, g["K_biv"]], 1.0, rtol=1e-12)
     np.testing.assert_allclose(
         [[c.re, c.im] for c in pd.phi.components],
         [[1, 0], [0, 0], [0, 1]], atol=1e-15,
@@ -78,14 +84,15 @@ def test_point_data_s1_at_half_pi(s1):
         [[c.re, c.im] for c in pd.phi_perp.components],
         [[0, 0], [0, -1], [0, 0]], atol=1e-12,
     )
-    assert pd.cls is pointwise.PointClass.GENERIC
+    assert pd.cls is ref.PointClass.GENERIC and g["class"] == pd.cls
 
 
 def test_point_data_s3_degenerate(s3):
-    pd = pointwise.point_data(s3, DNum(0.1, -0.2))
-    np.testing.assert_allclose(pd.K, 0.0, atol=1e-14)
-    assert pd.cls is pointwise.PointClass.DEGENERATE
-    np.testing.assert_allclose(pd.E, -9.0, rtol=1e-14)
+    pd = ref.point_data(s3, DNum(0.1, -0.2))
+    g = ref.grid_at(s3, DNum(0.1, -0.2))
+    np.testing.assert_allclose([pd.K, g["K_biv"]], 0.0, atol=1e-14)
+    assert pd.cls is ref.PointClass.DEGENERATE and g["class"] == pd.cls
+    np.testing.assert_allclose([pd.E, g["E"]], -9.0, rtol=1e-14)
 
 
 def test_phi_dot_phi_prime_vanishes(s1, s2):
@@ -95,25 +102,28 @@ def test_phi_dot_phi_prime_vanishes(s1, s2):
         for _ in range(50):
             a = rng.uniform(box.a0, box.a1)
             b = rng.uniform(box.b0, box.b1)
-            pd = pointwise.point_data(S, DNum.from_null(a, b))
+            pd = ref.point_data(S, DNum.from_null(a, b))
             z = dot(pd.phi, pd.phi_prime)
             assert max(abs(z.re), abs(z.im)) <= 1e-10 * max(1.0, abs(pd.E))
+            g = ref.grid_at(S, pd.t)
+            dd = max(abs(g["phi_phip_p"]), abs(g["phi_phip_m"]))
+            assert dd <= 1e-10 * max(1.0, abs(g["E"]))
 
 
 def test_project_normal_examples(s1):
     """Tangential input projects to zero; S1 cases at v = pi/2 and pi/4."""
     t = DNum(0.0, math.pi / 2)
-    pd = pointwise.point_data(s1, t)
-    z = pointwise.project_normal(pd.phi, pd.phi)
+    pd = ref.point_data(s1, t)
+    z = ref.project_normal(pd.phi, pd.phi)
     assert all(max(abs(c.re), abs(c.im)) <= 1e-12 for c in z.components)
     # at v = pi/2, conj(Phi).Phi' = 0 so Phi' is already normal
-    perp = pointwise.project_normal(pd.phi, pd.phi_prime)
+    perp = ref.project_normal(pd.phi, pd.phi_prime)
     for c, d in zip(perp.components, pd.phi_prime.components):
         np.testing.assert_allclose([c.re, c.im], [d.re, d.im], atol=1e-12)
     # at v = pi/4, Phi'perp = Phi' - j Phi
     t = DNum(0.0, math.pi / 4)
-    pd = pointwise.point_data(s1, t)
-    perp = pointwise.project_normal(pd.phi, pd.phi_prime)
+    pd = ref.point_data(s1, t)
+    perp = ref.project_normal(pd.phi, pd.phi_prime)
     want = pd.phi_prime - pd.phi.scale(DNum(0.0, 1.0))
     for c, d in zip(perp.components, want.components):
         np.testing.assert_allclose([c.re, c.im], [d.re, d.im], atol=1e-12)
@@ -122,66 +132,70 @@ def test_project_normal_examples(s1):
 def test_gauss_K_closed_forms(s1, s2):
     for v, want in ((math.pi / 2, 1.0), (math.pi / 4, 4.0), (0.7, s1_closed_K(0.7))):
         t = DNum(-0.3, v)
+        g = ref.grid_at(s1, t)
         for method in ("projection", "bivector"):
-            np.testing.assert_allclose(pointwise.gauss_K(s1, t, method), want, rtol=1e-9)
+            np.testing.assert_allclose(ref.gauss_K(s1, t, method), want, rtol=1e-9)
+        np.testing.assert_allclose([g["K_proj"], g["K_biv"]], want, rtol=1e-9)
     t = DNum(0.2, 0.5)
+    g = ref.grid_at(s2, t)
     for method in ("projection", "bivector"):
-        np.testing.assert_allclose(pointwise.gauss_K(s2, t, method), S2_K_AT_HALF, rtol=1e-9)
+        np.testing.assert_allclose(ref.gauss_K(s2, t, method), S2_K_AT_HALF, rtol=1e-9)
+    np.testing.assert_allclose([g["K_proj"], g["K_biv"]], S2_K_AT_HALF, rtol=1e-9)
     np.testing.assert_allclose(s2_closed_K(0.5), S2_K_AT_HALF, rtol=1e-15)
 
 
 def test_gauss_K_laplacian(s1, s2, s3):
-    t = DNum(-0.3, 0.9)
-    np.testing.assert_allclose(
-        pointwise.gauss_K(s1, t, "laplacian"), s1_closed_K(0.9), rtol=1e-6
-    )
-    t = DNum(0.2, 0.5)
-    np.testing.assert_allclose(
-        pointwise.gauss_K(s2, t, "laplacian"), S2_K_AT_HALF, rtol=1e-6
-    )
-    np.testing.assert_allclose(
-        pointwise.gauss_K(s3, DNum(0.0, 0.0), "laplacian"), 0.0, atol=1e-10
-    )
+    for S, t, want, tol in ((s1, DNum(-0.3, 0.9), s1_closed_K(0.9), {"rtol": 1e-6}),
+                            (s2, DNum(0.2, 0.5), S2_K_AT_HALF, {"rtol": 1e-6}),
+                            (s3, DNum(0.0, 0.0), 0.0, {"atol": 1e-10})):
+        np.testing.assert_allclose(
+            [ref.gauss_K(S, t, "laplacian"), ref.grid_at(S, t)["K_lap"]], want, **tol
+        )
 
 
 def test_gauss_K_laplacian_margin(s1):
     box = s1.domain
     t = DNum.from_null(box.a0 + 1e-4, 1.0)
     with pytest.raises(geom.GridError, match="margin"):
-        pointwise.gauss_K(s1, t, "laplacian")
+        ref.gauss_K(s1, t, "laplacian")
 
 
 def test_second_fundamental_s1(s1):
-    """sigma_uu = 0, sigma_uv = (0, -1, 0) at t = j pi/2; normality."""
+    """sigma_uu = 0, sigma_uv = (0, -1, 0) at t = j pi/2, where E = -1;
+    normality."""
     t = DNum(0.0, math.pi / 2)
-    s_uu, s_uv = pointwise.second_fundamental(s1, t)
-    np.testing.assert_allclose(s_uu, [0, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(s_uv, [0, -1, 0], atol=1e-12)
+    s_uu, s_uv = ref.second_fundamental(s1, t)
+    g = geom.canonical_grid(s1, _unit_chart(s1), np.array([t.p]), np.array([t.m]))
+    for sig_uu, sig_uv in ((s_uu, s_uv), (g["sigma11"][:, 0, 0], g["sigma12"][:, 0, 0])):
+        np.testing.assert_allclose(sig_uu, [0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(sig_uv, [0, -1, 0], atol=1e-12)
     # normality against x_u = Re Phi and x_v = Im Phi
-    pd = pointwise.point_data(s1, t)
+    pd = ref.point_data(s1, t)
     xu = np.array(pd.phi.re())
     eta = np.diag([-1.0, 1.0, 1.0])
     np.testing.assert_allclose(s_uv @ eta @ xu, 0.0, atol=1e-12)
 
 
 def test_second_fundamental_s3_zero(s3):
-    s_uu, s_uv = pointwise.second_fundamental(s3, DNum(0.3, 0.1))
+    s_uu, s_uv = ref.second_fundamental(s3, DNum(0.3, 0.1))
     np.testing.assert_allclose(s_uu, 0.0, atol=1e-14)
     np.testing.assert_allclose(s_uv, 0.0, atol=1e-14)
 
 
 def test_classify_point(s1, s3, s4):
-    assert pointwise.classify_point(s1, DNum(0.0, 1.0)) is pointwise.PointClass.GENERIC
-    assert pointwise.classify_point(s3, DNum(0.0, 0.0)) is pointwise.PointClass.DEGENERATE
-    t = DNum.from_null(1.5, 0.0)
-    assert pointwise.classify_point(s4, t) is pointwise.PointClass.DEGENERATE
+    t4 = DNum.from_null(1.5, 0.0)
+    for S, t, want in ((s1, DNum(0.0, 1.0), ref.PointClass.GENERIC),
+                       (s3, DNum(0.0, 0.0), ref.PointClass.DEGENERATE),
+                       (s4, t4, ref.PointClass.DEGENERATE)):
+        assert ref.classify_point(S, t) is want and ref.grid_at(S, t)["class"] == want
     # S4 has Phi'^2 = q, nonzero yet null
-    sq = dot(s4.phi_prime.eval(t), s4.phi_prime.eval(t))
+    sq = dot(ref.at(s4.phi_prime, t4), ref.at(s4.phi_prime, t4))
     np.testing.assert_allclose([sq.re, sq.im], [0.5, -0.5], atol=1e-14)
 
 
 def test_key_identity_perp_square(s1, s2, s4):
-    """Phi'perp^2 = Phi'^2, projection route vs direct."""
+    """Phi'perp^2 = Phi'^2: the reference projection against the grid's
+    Phi'^2 = P q + Q qbar."""
     rng = np.random.default_rng(29)
     for S in (s1, s2, s4):
         box = S.domain
@@ -189,9 +203,10 @@ def test_key_identity_perp_square(s1, s2, s4):
             t = DNum.from_null(
                 rng.uniform(box.a0, box.a1), rng.uniform(box.b0, box.b1)
             )
-            pd = pointwise.point_data(S, t)
+            pd = ref.point_data(S, t)
+            g = ref.grid_at(S, t)
             lhs = dot(pd.phi_perp, pd.phi_perp)
-            rhs = dot(pd.phi_prime, pd.phi_prime)
+            rhs = DNum.from_null(g["P"], g["Q"])
             scale = max(1.0, abs(rhs.re), abs(rhs.im))
             assert abs(lhs.re - rhs.re) <= 1e-9 * scale
             assert abs(lhs.im - rhs.im) <= 1e-9 * scale
@@ -204,19 +219,20 @@ def test_grid_quantities_match_pointwise(s2):
         for k in (2, 5):
             t = DNum.from_null(g["a"][i, k], g["b"][i, k])
             np.testing.assert_allclose(
-                g["K_biv"][i, k], pointwise.gauss_K(s2, t, "bivector"), rtol=1e-12
+                g["K_biv"][i, k], ref.gauss_K(s2, t, "bivector"), rtol=1e-12
             )
             np.testing.assert_allclose(
-                g["K_proj"][i, k], pointwise.gauss_K(s2, t, "projection"), rtol=1e-9
+                g["K_proj"][i, k], ref.gauss_K(s2, t, "projection"), rtol=1e-9
             )
             np.testing.assert_allclose(
-                g["E"][i, k], pointwise.point_data(s2, t).E, rtol=1e-12
+                g["E"][i, k], ref.point_data(s2, t).E, rtol=1e-12
             )
 
 
 def test_gauss_equation_residual(s1, s2):
     for S, t in ((s1, DNum(-0.3, 0.9)), (s2, DNum(0.2, 0.6))):
-        assert pointwise.gauss_equation_residual(S, t) <= 1e-5
+        assert ref.gauss_equation_residual(S, t) <= 1e-5
+        assert ref.grid_at(S, t)["gauss_residual"] <= 1e-5
 
 
 def test_membership_perp_square_in_closure(gallery):
@@ -228,7 +244,7 @@ def test_membership_perp_square_in_closure(gallery):
             t = DNum.from_null(
                 rng.uniform(box.a0, box.a1), rng.uniform(box.b0, box.b1)
             )
-            pd = pointwise.point_data(S, t)
+            pd = ref.point_data(S, t)
             sq = dot(pd.phi_perp, pd.phi_perp)
             scale = 1.0 + max(abs(sq.re), abs(sq.im))
             assert sq.p >= -1e-9 * scale
@@ -272,10 +288,10 @@ def test_canonical_grid_matches_scalar_routes(s1, s2, s5):
         for j, y in enumerate(sb):
             for i, x in enumerate(sa):
                 t = chart.inv(DNum.from_null(float(x), float(y)))
-                want_x = pointwise.point_data(S, t).x
+                want_x = ref.point_data(S, t).x
                 np.testing.assert_allclose(g["x"][:, j, i], want_x, rtol=1e-10,
                                            atol=1e-10 * np.max(np.abs(want_x)))
-                np.testing.assert_allclose(g["K"][j, i], pointwise.gauss_K(S, t, "bivector"),
+                np.testing.assert_allclose(g["K"][j, i], ref.gauss_K(S, t, "bivector"),
                                            rtol=1e-10)
                 np.testing.assert_allclose(g["kappa"][j, i], 2.0 * g["nu"][j, i] * g["mu"][j, i],
                                            rtol=1e-14)
@@ -291,17 +307,23 @@ def _unit_chart(S):
 
 
 def test_hyperbola_at_raises_where_it_did(s1, s3, s4):
+    """The canonical grid at one point raises for a degenerate point or
+    one outside the domain, and gives K = 1, E = -1, mu = 1 on s1 at j pi/2."""
+    def at_one(S, a, b):
+        return geom.canonical_grid(S, _unit_chart(S), np.array([a]), np.array([b]))
+
     with pytest.raises(DegeneratePointError, match="degenerate point"):
-        pointwise.hyperbola_at(s3, DNum(0.1, -0.2), _unit_chart(s3))
+        at_one(s3, 0.3, -0.1)
     with pytest.raises(DegeneratePointError, match="degenerate point"):
-        pointwise.hyperbola_at(s4, DNum.from_null(1.5, 0.0), _unit_chart(s4))
+        at_one(s4, 1.5, 0.0)
     box = s1.domain
     with pytest.raises(OutOfDomainError, match="null coordinate a="):
-        pointwise.hyperbola_at(s1, DNum.from_null(box.a1 + 0.5, 1.0), _unit_chart(s1))
+        at_one(s1, box.a1 + 0.5, 1.0)
     with pytest.raises(OutOfDomainError, match="null coordinate b="):
-        pointwise.hyperbola_at(s1, DNum.from_null(-1.0, box.b0 - 0.5), _unit_chart(s1))
-    H = pointwise.hyperbola_at(s1, DNum(0.0, math.pi / 2), _unit_chart(s1))
-    np.testing.assert_allclose([H.K, H.E, H.mu], [1.0, -1.0, 1.0], atol=1e-12)
+        at_one(s1, -1.0, box.b0 - 0.5)
+    g = at_one(s1, -math.pi / 2, math.pi / 2)
+    np.testing.assert_allclose([g["K"][0, 0], g["E"][0, 0], g["mu"][0, 0]], [1.0, -1.0, 1.0],
+                               atol=1e-12)
 
 
 def test_canonical_grid_names_first_offending_point(s1):

@@ -2,7 +2,9 @@
 command loads in a fresh interpreter, and how the process entry handles
 cyclic garbage collection around those imports."""
 
+import ast
 import gc
+import importlib
 import json
 import pathlib
 import subprocess
@@ -35,8 +37,8 @@ print("\\n".join(m for m in sys.modules
 """
 
 #: What the commands that need neither a chart nor a construction leave out.
-_NOT_FOR_GRID_COMMANDS = {"dnsurf.canon", "dnsurf.family", "dnsurf.pointwise", "dnsurf.mink",
-                          "dnsurf.dnum", "dataclasses"}
+_NOT_FOR_GRID_COMMANDS = {"dnsurf.canon", "dnsurf.family", "dnsurf.mink", "dnsurf.dnum",
+                          "dataclasses"}
 
 
 def _loaded(tmp_path, *argv) -> tuple[str, set[str]]:
@@ -78,13 +80,25 @@ def _write_spec(directory, changes):
     return path
 
 
+def _write_motion(directory, text):
+    path = directory / "motion.json"
+    path.write_text(text)
+    return path
+
+
 #: Inputs that the front end refuses, with their exit codes: a bad --grid,
-#: a psi entry that does not parse, a spec that is not a JSON object.
+#: a psi entry that does not parse, a spec that is not a JSON object, a
+#: domain bound or a motion entry that is not a JSON number.
 FRONT_END_FAILURES = {
     "bad-grid": ("2", lambda d: ["invariants", GALLERY / "s1.json", "--grid", "1x4",
                                  "--out", "OUT/i.csv"]),
     "bad-parse": ("3", lambda d: ["check", _write_spec(d, {"psi": ["t", "sin(t", "-cos(t)"]})]),
     "spec-not-object": ("2", lambda d: ["check", _write_spec(d, [])]),
+    "domain-bound-boolean": ("2", lambda d: ["check", _write_spec(
+        d, {"domain": {"a": [-2.0, 0.0], "b": [True, 2.0]}})]),
+    "motion-entry-string": ("2", lambda d: [
+        "family", GALLERY / "s2.json", "--op", "motion", "--out", "OUT/f.json", "--motion",
+        _write_motion(d, '{"A": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,"1.0"]], "b": [0,0,0,0]}')]),
 }
 
 
@@ -95,6 +109,32 @@ def test_front_end_failures_load_no_numpy(tmp_path, case):
     rc, loaded = _loaded(tmp_path, *argv(tmp_path))
     assert rc == code
     assert not loaded & {"numpy", "dnsurf.holo", "dnsurf.geom"}
+
+
+#: Per-point names that dnsurf does not export: the grids of geom ship the
+#: quantities at a point, and the per-point route is the tests' reference,
+#: tests/pointwise_ref.py.
+_PER_POINT_NAMES = {"NormalHyperbola", "PointClass", "PointData", "classify_point", "gauss_K",
+                    "hyperbola_at", "hyperbola_sample", "point_data", "project_normal",
+                    "second_fundamental"}
+
+
+def test_per_point_route_lives_only_in_the_tests():
+    """dnsurf has no pointwise module and exports none of its names, and
+    no dnsurf module imports a module of tests/."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("dnsurf.pointwise")
+    assert not _PER_POINT_NAMES & set(dnsurf.__all__)
+    test_modules = {"tests", *(p.stem for p in (ROOT / "tests").glob("*.py"))}
+    for path in (ROOT / "src" / "dnsurf").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & test_modules, path.name
 
 
 def test_import_dnsurf_loads_no_submodule_and_no_numpy(tmp_path):
