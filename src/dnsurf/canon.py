@@ -25,8 +25,8 @@ import numpy as np
 
 from . import kernels
 from .dnum import DNum
-from .errors import ChartModelError, DegeneratePointError, QuadratureError
-from .geom import SurfacePatch, _combo
+from .errors import ChartModelError, DegeneratePointError, OutOfDomainError, QuadratureError
+from .geom import SurfacePatch, _combo, null_axes
 from .holo import Box, RealFn1, sample
 from .value import Value, setfield
 
@@ -42,10 +42,12 @@ class Map1D(Value):
     """A strictly increasing 1-D map with inverse and two derivatives.
 
     Each of fwd, inv, dfwd and d2fwd takes a float or an array and returns
-    a float or an array of the same shape.
+    a float or an array of the same shape.  slo = fwd(lo) and shi = fwd(hi)
+    bound its range, read from the map's ends once, when it is built.
     """
 
-    __slots__ = _fields = ("fwd", "inv", "dfwd", "d2fwd", "lo", "hi", "nodes", "deriv_min")
+    _fields = ("fwd", "inv", "dfwd", "d2fwd", "lo", "hi", "nodes", "deriv_min")
+    __slots__ = (*_fields, "slo", "shi")
 
     def __init__(self, fwd: Callable, inv: Callable, dfwd: Callable, d2fwd: Callable,
                  lo: float, hi: float, nodes: int, deriv_min: float):
@@ -57,14 +59,8 @@ class Map1D(Value):
         setfield(self, "hi", hi)
         setfield(self, "nodes", nodes)
         setfield(self, "deriv_min", deriv_min)
-
-    @property
-    def slo(self) -> float:
-        return self.fwd(self.lo)
-
-    @property
-    def shi(self) -> float:
-        return self.fwd(self.hi)
+        setfield(self, "slo", fwd(lo))
+        setfield(self, "shi", fwd(hi))
 
     @classmethod
     def linear(cls, k: float, c: float, lo: float, hi: float) -> "Map1D":
@@ -79,12 +75,10 @@ class Map1D(Value):
         )
 
     @classmethod
-    def from_quadrature(
-        cls, fn, lo: float, hi: float, x0: float, tol: float = QUAD_TOL
-    ) -> "Map1D":
+    def from_quadrature(cls, fn, lo: float, hi: float, x0: float) -> "Map1D":
         """Cumulative integral of a positive integrand fn on [lo, hi],
         anchored to 0 at x0, with node count doubled until the composite
-        Simpson totals converge to tol.  fn is an AxisIntegrand or a
+        Simpson totals converge to QUAD_TOL.  fn is an AxisIntegrand or a
         RealFn1, read through its values fn.f and slopes fn.df."""
         n = _MIN_NODES
         prev_total = None
@@ -93,12 +87,12 @@ class Map1D(Value):
             ys = sample(fn.f, xs)
             F = kernels.cumulative_simpson(ys, (hi - lo) / (n - 1))
             total = float(F[-1])
-            if prev_total is not None and abs(total - prev_total) <= tol:
+            if prev_total is not None and abs(total - prev_total) <= QUAD_TOL:
                 break
             if n >= _MAX_NODES:
                 raise QuadratureError(
                     f"cumulative quadrature on [{lo}, {hi}] did not reach "
-                    f"tolerance {tol} with {n} nodes"
+                    f"tolerance {QUAD_TOL} with {n} nodes"
                 )
             prev_total = total
             n = 2 * (n - 1) + 1
@@ -181,10 +175,15 @@ def map_reflect_input(m: Map1D) -> Map1D:
 class CanonicalChart(Value):
     """The reparametrization t <-> s, one monotone map per null axis.
 
+    fwd and inv are the only route between t and s.  Both work on the null
+    coordinates, one float or array per axis, and map each axis on its own,
+    without broadcasting one against the other: fwd(a, b) -> (sa, sb) and
+    inv(sa, sb) -> (a, b).
+
     When conjugate_output is set the chart represents t -> conj(s):
     the per-axis maps are unchanged but their values land in the swapped
     null slots of s (the t = +-conj(s) + c branch of the uniqueness
-    theorem).
+    theorem), so sminus gives sb and splus gives sa.
     """
 
     __slots__ = _fields = ("sminus", "splus", "base", "conjugate_output")
@@ -195,23 +194,26 @@ class CanonicalChart(Value):
         setfield(self, "base", base)
         setfield(self, "conjugate_output", conjugate_output)
 
-    def fwd(self, t: DNum) -> DNum:
-        va = self.sminus.fwd(t.p)
-        vb = self.splus.fwd(t.m)
-        if self.conjugate_output:
-            return DNum.from_null(vb, va)
-        return DNum.from_null(va, vb)
+    def fwd(self, a, b):
+        """(sa, sb), the canonical null coordinates of a and b."""
+        va, vb = self.sminus.fwd(a), self.splus.fwd(b)
+        return (vb, va) if self.conjugate_output else (va, vb)
 
-    def inv(self, s: DNum) -> DNum:
-        sp, sm = (s.m, s.p) if self.conjugate_output else (s.p, s.m)
-        return DNum.from_null(self.sminus.inv(sp), self.splus.inv(sm))
+    def inv(self, sa, sb):
+        """(a, b), the null coordinates of t at the canonical ones sa, sb.
+
+        Raises OutOfDomainError for an s outside its map's range [slo, shi],
+        with Box.check's 1e-12 slack, naming the first offending coordinate,
+        of sa before sb: Map1D.inv clamps to [lo, hi], so an s out of range
+        would otherwise come back as a domain-edge t.
+        """
+        conj = self.conjugate_output
+        maps = (self.splus, self.sminus) if conj else (self.sminus, self.splus)
+        x, y = (_checked_inv(m, s, name) for m, s, name in zip(maps, (sa, sb), ("sa", "sb")))
+        return (y, x) if conj else (x, y)
 
     def conjugated(self) -> "CanonicalChart":
         return self.replace(conjugate_output=not self.conjugate_output)
-
-    @property
-    def t_box(self) -> Box:
-        return Box(self.sminus.lo, self.sminus.hi, self.splus.lo, self.splus.hi)
 
     @property
     def s_box(self) -> Box:
@@ -220,6 +222,18 @@ class CanonicalChart(Value):
         if self.conjugate_output:
             a0, a1, b0, b1 = b0, b1, a0, a1
         return Box(a0, a1, b0, b1)
+
+
+def _checked_inv(m: Map1D, s, name: str):
+    """m.inv(s), refusing an s outside [m.slo, m.shi] by name."""
+    arr = np.asarray(s, dtype=float)
+    out = ~((m.slo - 1e-12 <= arr) & (arr <= m.shi + 1e-12))  # a NaN is out too
+    if out.any():
+        raise OutOfDomainError(
+            f"canonical null coordinate {name}={float(arr.flat[np.argmax(out)])!r} "
+            f"outside [{m.slo}, {m.shi}]"
+        )
+    return m.inv(s)
 
 
 class ChartRelation(Value):
@@ -243,32 +257,19 @@ def transport_chart(
     motion:         unchanged.
     """
     if construction == "conjugate":
-        new_base = DNum.from_null(-chart.base.p, chart.base.m)
-        return CanonicalChart(
-            sminus=map_reflect_input(chart.sminus),
-            splus=chart.splus,
-            base=new_base,
-            conjugate_output=chart.conjugate_output,
-        )
+        return chart.replace(sminus=map_reflect_input(chart.sminus),
+                             base=DNum.from_null(-chart.base.p, chart.base.m))
     if construction == "associated":
         if param is None:
             raise ValueError("associated transport needs theta")
-        return CanonicalChart(
-            sminus=map_scale_output(chart.sminus, math.exp(-param / 2.0)),
-            splus=map_scale_output(chart.splus, math.exp(param / 2.0)),
-            base=chart.base,
-            conjugate_output=chart.conjugate_output,
-        )
+        return chart.replace(sminus=map_scale_output(chart.sminus, math.exp(-param / 2.0)),
+                             splus=map_scale_output(chart.splus, math.exp(param / 2.0)))
     if construction == "homothety":
         if param is None or param <= 0:
             raise ValueError("homothety transport needs k > 0")
         r = math.sqrt(param)
-        return CanonicalChart(
-            sminus=map_scale_output(chart.sminus, r),
-            splus=map_scale_output(chart.splus, r),
-            base=chart.base,
-            conjugate_output=chart.conjugate_output,
-        )
+        return chart.replace(sminus=map_scale_output(chart.sminus, r),
+                             splus=map_scale_output(chart.splus, r))
     if construction == "motion":
         return chart
     raise ValueError(f"unknown construction {construction!r}")
@@ -307,17 +308,12 @@ def chart_integrands(S: SurfacePatch) -> tuple[AxisIntegrand, AxisIntegrand]:
 
 # -- canonization --------------------------------------------------------
 
-def canonize(
-    S: SurfacePatch,
-    base: DNum | None = None,
-    tol: float = QUAD_TOL,
-    grid: int = 257,
-) -> CanonicalChart:
+def canonize(S: SurfacePatch, base: DNum | None = None) -> CanonicalChart:
     """Canonical chart of a general-type surface patch.
 
     Requires classify(Phi'^2) = Positive on the whole domain (checked on a
-    per-axis sample of size ``grid``); raises DegeneratePointError naming
-    the failing null coordinate otherwise.
+    per-axis sample of 257 points); raises DegeneratePointError naming the
+    failing null coordinate otherwise.
     """
     box = S.domain
     if base is None:
@@ -325,8 +321,7 @@ def canonize(
     box.check(base)
 
     ia, ib = chart_integrands(S)
-    a = np.linspace(box.a0, box.a1, grid)
-    b = np.linspace(box.b0, box.b1, grid)
+    a, b = null_axes(box, 257, 257)
     Pv, Qv = sample(ia.square, a), sample(ib.square, b)
     thr = kernels.EPS_CLS * (1.0 + max(float(np.max(np.abs(Pv))), float(np.max(np.abs(Qv)))))
     if float(np.min(Pv)) <= thr:
@@ -342,8 +337,8 @@ def canonize(
             f"at b = {b[i]:.6g}"
         )
 
-    sminus = Map1D.from_quadrature(ia, box.a0, box.a1, base.p, tol)
-    splus = Map1D.from_quadrature(ib, box.b0, box.b1, base.m, tol)
+    sminus = Map1D.from_quadrature(ia, box.a0, box.a1, base.p)
+    splus = Map1D.from_quadrature(ib, box.b0, box.b1, base.m)
     return CanonicalChart(sminus=sminus, splus=splus, base=base)
 
 
@@ -354,10 +349,10 @@ _GL_X = np.array([-_GL_R2, -_GL_R1, 0.0, _GL_R1, _GL_R2])
 _GL_W = np.array([_GL_W2, _GL_W1, 128.0 / 225.0, _GL_W1, _GL_W2])
 
 
-def verify_canonical(S: SurfacePatch, chart: CanonicalChart, grid: int = 65) -> float:
+def verify_canonical(S: SurfacePatch, chart: CanonicalChart) -> float:
     """Worst relative defect of the chart on grid nodes of each axis.
 
-    Two defects per axis, on grid nodes x_i (64 sub-intervals by default):
+    Two defects per axis, on 65 grid nodes x_i (64 sub-intervals):
     the derivative against the integrand, |P(a) / Sminus'(a)^4 - 1| (and
     Q, Splus on the b axis), and the map against its derivative,
     |fwd(x_i+1) - fwd(x_i) - I_i| / I_i, with I_i a 5-point Gauss-Legendre
@@ -367,7 +362,7 @@ def verify_canonical(S: SurfacePatch, chart: CanonicalChart, grid: int = 65) -> 
     """
     worst = 0.0
     for fn, m in zip(chart_integrands(S), (chart.sminus, chart.splus)):
-        x = np.linspace(m.lo, m.hi, grid)
+        x = np.linspace(m.lo, m.hi, 65)
         worst = max(worst, float(np.max(np.abs(sample(fn.square, x) / m.dfwd(x) ** 4 - 1.0))))
         half = 0.5 * np.diff(x)[:, None]
         mid = 0.5 * (x[1:] + x[:-1])[:, None]
@@ -376,16 +371,13 @@ def verify_canonical(S: SurfacePatch, chart: CanonicalChart, grid: int = 65) -> 
     return worst
 
 
-def relate_charts(
-    c1: CanonicalChart, c2: CanonicalChart, probes: int = 8
-) -> ChartRelation:
+def relate_charts(c1: CanonicalChart, c2: CanonicalChart) -> ChartRelation:
     """Fit the uniqueness model s1 = sign * s2 + c or s1 = sign * conj(s2) + c.
 
-    Probes are spread over the shared t-domain; the best of the four
-    affine models must fit within 1e-7, else ChartModelError.
+    8 probe points are spread over the shared t-domain and mapped by both
+    charts at once; the best of the four affine models must fit within
+    1e-7, else ChartModelError.
     """
-    if probes < 3:
-        raise ValueError("need at least 3 probe points")
     lo_a = max(c1.sminus.lo, c2.sminus.lo)
     hi_a = min(c1.sminus.hi, c2.sminus.hi)
     lo_b = max(c1.splus.lo, c2.splus.lo)
@@ -393,24 +385,21 @@ def relate_charts(
     if not (lo_a < hi_a and lo_b < hi_b):
         raise ChartModelError("charts have no overlapping t-domain")
 
-    ta = np.linspace(lo_a, hi_a, probes)
-    tb = np.linspace(lo_b, hi_b, probes)
-    ts = [DNum.from_null(float(x), float(y)) for x, y in zip(ta, tb)]
-    s1 = [c1.fwd(t) for t in ts]
-    s2 = [c2.fwd(t) for t in ts]
+    ta, tb = np.linspace(lo_a, hi_a, 8), np.linspace(lo_b, hi_b, 8)
+    # rows re and im of s = s_u + j s_v, from its null coordinates (sa, sb)
+    (sa1, sb1), (sa2, sb2) = c1.fwd(ta, tb), c2.fwd(ta, tb)
+    s1 = np.stack([(sa1 + sb1) / 2.0, (sb1 - sa1) / 2.0])
+    s2 = np.stack([(sa2 + sb2) / 2.0, (sb2 - sa2) / 2.0])
 
     best = None
     for conjugated in (False, True):
-        w = [x.conj() for x in s2] if conjugated else s2
+        w = s2 * [[1.0], [-1.0]] if conjugated else s2
         for sign in (1, -1):
-            diffs = [u - (sign * v) for u, v in zip(s1, w)]
-            c_re = sum(d.re for d in diffs) / len(diffs)
-            c_im = sum(d.im for d in diffs) / len(diffs)
-            c = DNum(c_re, c_im)
-            res = max(
-                max(abs((d - c).re), abs((d - c).im)) for d in diffs
-            )
-            cand = ChartRelation(sign=sign, conjugated=conjugated, c=c, residual=res)
+            diffs = s1 - sign * w
+            c = diffs.mean(axis=1)
+            res = float(np.max(np.abs(diffs - c[:, None])))
+            cand = ChartRelation(sign=sign, conjugated=conjugated,
+                                 c=DNum(float(c[0]), float(c[1])), residual=res)
             if best is None or res < best.residual:
                 best = cand
     if best.residual > 1e-7:
@@ -422,10 +411,4 @@ def relate_charts(
 
 def isotropic_chart(chart: CanonicalChart) -> CanonicalChart:
     """Canonical isotropic parameters: null coordinates scaled by 1/sqrt 2."""
-    r = 1.0 / np.sqrt(2.0)
-    return CanonicalChart(
-        sminus=map_scale_output(chart.sminus, r),
-        splus=map_scale_output(chart.splus, r),
-        base=chart.base,
-        conjugate_output=chart.conjugate_output,
-    )
+    return transport_chart(chart, "homothety", 0.5)

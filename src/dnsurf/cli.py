@@ -210,9 +210,8 @@ def cmd_check(args) -> int:
     _load_back_end(args)
     S = _surface(exprs, box)
     rec = S.validation
-    g = geom.grid_quantities(S, 33, 33, richardson=False)
-    degenerate = int(np.sum(g["class"] == 0))
-    total = g["class"].size
+    mask = geom.degenerate_grid(S, *geom.null_axes(box, 33, 33))
+    degenerate, total = int(np.sum(mask)), mask.size
     if degenerate == 0:
         gt = "yes"
     elif degenerate == total:
@@ -371,8 +370,8 @@ def cmd_family(args) -> int:
     # the residual measures the surface of the spec that is written; E on
     # the 33x33 grids of both domains, index order [b, a]
     derived = _surface(new_exprs, new_box)
-    E = geom.grid_quantities(S, 33, 33, richardson=False, box=box)["E"]
-    E_new = geom.grid_quantities(derived, 33, 33, richardson=False, box=new_box)["E"]
+    E = geom.energy_grid(S, *geom.null_axes(box, 33, 33))
+    E_new = geom.energy_grid(derived, *geom.null_axes(new_box, 33, 33))
     if op == "conjugate":
         # stored re-oriented through s = j t, which flips du^2 - dv^2 and
         # the a axis: the same-orientation energy at t is -E_new(j t)
@@ -412,7 +411,7 @@ def cmd_mesh(args) -> int:
         raise GridError(f"--project needs 3 distinct indices below {n}")
     _load_back_end(args)
     S = _surface(exprs, box)
-    x = geom.position_grid(S, np.linspace(box.a0, box.a1, w), np.linspace(box.b0, box.b1, h))
+    x = geom.position_grid(S, *geom.null_axes(box, w, h))
     # two triangles per lattice cell, from its corner v00 (1-based, row-major)
     v00 = np.arange(h - 1)[:, None] * w + np.arange(w - 1) + 1
     with _open_out(args.out) as fh:

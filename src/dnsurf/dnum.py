@@ -4,9 +4,9 @@ The algebra splits into two real lines through the idempotents
 q = (1-j)/2 and qbar = (1+j)/2, so every operation reduces to a pair of
 independent real operations on the null components (p, m) = (u-v, u+v).
 The (re, im) pair is the canonical stored form; the null view is computed
-on demand.  A DNum is one point: the chart's base point and the per-point
-inverse of dnsurf.canon.  The batched grids of dnsurf.geom work on the null
-components directly and need no DNum, and this module imports no numpy.
+on demand.  A DNum is one point: a chart's base point, or the constant c
+of a chart relation.  The chart maps and the grids of dnsurf.geom work on
+null coordinates and need no DNum, and this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -129,17 +129,15 @@ def _coerce(x) -> DNum:
     return DNum(float(x), 0.0)
 
 
-def classify(a: DNum, eps_cls: float = EPS_CLS) -> DClass:
+def classify(a: DNum) -> DClass:
     """Classify into null cone / positive cone / other invertible.
 
     The test is relative: a component counts as zero when it is below
-    eps_cls * (1 + max component), which keeps the answer stable under
+    EPS_CLS * (1 + max component), which keeps the answer stable under
     rescaling of a.
     """
-    if eps_cls < 0:
-        raise ValueError("eps_cls must be nonnegative")
     p, m = a.p, a.m
-    thr = eps_cls * (1.0 + max(abs(p), abs(m)))
+    thr = EPS_CLS * (1.0 + max(abs(p), abs(m)))
     if min(abs(p), abs(m)) <= thr:
         return DClass.NULL
     if p > thr and m > thr:
@@ -147,7 +145,7 @@ def classify(a: DNum, eps_cls: float = EPS_CLS) -> DClass:
     return DClass.OTHER_INVERTIBLE
 
 
-def nth_root_positive(a: DNum, n: int, eps_cls: float = EPS_CLS) -> DNum:
+def nth_root_positive(a: DNum, n: int) -> DNum:
     """Principal nth root, defined only on the positive cone.
 
     Computed componentwise as real positive roots of (p, m); the result is
@@ -155,11 +153,11 @@ def nth_root_positive(a: DNum, n: int, eps_cls: float = EPS_CLS) -> DNum:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if classify(a, eps_cls) is not DClass.POSITIVE:
+    if classify(a) is not DClass.POSITIVE:
         bad = []
-        if a.p <= 0 or abs(a.p) <= eps_cls * (1 + abs(a.m)):
+        if a.p <= 0 or abs(a.p) <= EPS_CLS * (1 + abs(a.m)):
             bad.append(f"q component {a.p!r}")
-        if a.m <= 0 or abs(a.m) <= eps_cls * (1 + abs(a.p)):
+        if a.m <= 0 or abs(a.m) <= EPS_CLS * (1 + abs(a.p)):
             bad.append(f"qbar component {a.m!r}")
         raise RootDomainError(
             f"{n}th root needs a positive-cone argument; "

@@ -151,25 +151,18 @@ def _outer_core(phi_s, phip_s) -> dict:
     }
 
 
-def grid_quantities(
-    S: SurfacePatch,
-    na: int,
-    nb: int,
-    richardson: bool = True,
-    box: Box | None = None,
-) -> dict:
+def grid_quantities(S: SurfacePatch, na: int, nb: int, box: Box | None = None) -> dict:
     """All sweep quantities on an na x nb null-coordinate grid.
 
     Returns 2-D arrays (index order [b, a]) for u, v, E, K_proj, K_biv,
     K_lap, P, Q, the Gauss-equation residual, and the point-class codes.
+    K_lap is Richardson-extrapolated from the steps H_FD and H_FD / 2.
     The laplacian entries require the 2*H_FD margin inside the patch
     domain; the caller is responsible for choosing a box that has it.
     """
-    box = box or S.domain
     if na < 2 or nb < 2:
         raise GridError("grid needs at least 2 points per axis")
-    a = np.linspace(box.a0, box.a1, na)
-    b = np.linspace(box.b0, box.b1, nb)
+    a, b = null_axes(box or S.domain, na, nb)
     B, A = np.meshgrid(b, a, indexing="ij")
 
     core = _outer_core(_null_samples(S.phi, a, b), _null_samples(S.phi_prime, a, b))
@@ -191,9 +184,7 @@ def grid_quantities(
             acc = acc + sign * np.log(-_combo(*_null_samples(S.phi, a + sa, b + sb)))
         return acc / (h * h)
 
-    lap = lap_lnE(H_FD)
-    if richardson:
-        lap = (4.0 * lap_lnE(H_FD / 2.0) - lap) / 3.0
+    lap = (4.0 * lap_lnE(H_FD / 2.0) - lap_lnE(H_FD)) / 3.0
     K_lap = lap / (-norm_phi)
     # ln|E| = ln(-||Phi||^2) - ln 2, so lap ln|E| / E = 2 lap / ||Phi||^2
     gauss_residual = np.abs(2.0 * lap / norm_phi + 2.0 * K_biv)
@@ -224,12 +215,29 @@ def grid_quantities(
     }
 
 
+def null_axes(box: Box, na: int, nb: int):
+    """The null axes (a, b) of an na x nb grid spanning box."""
+    return np.linspace(box.a0, box.a1, na), np.linspace(box.b0, box.b1, nb)
+
+
+def energy_grid(S: SurfacePatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """E = ||Phi||^2 / 2 on the outer [b, a] grid, as grid_quantities has it."""
+    return 0.5 * _combo(*_null_samples(S.phi, a, b))
+
+
+def degenerate_grid(S: SurfacePatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where Phi'^2 is null on the outer [b, a] grid: grid_quantities'
+    class 0, without the sweep, whose laplacian stencil needs a margin."""
+    gm, gp = _null_samples(S.phi_prime, a, b)
+    return _degenerate(_combo(gm, gm), _combo(gp, gp))
+
+
 # -- construction and validation -----------------------------------------
 
-def make_surface(psi: HoloCurve, domain: Box | None = None, grid: int = 33) -> SurfacePatch:
+def make_surface(psi: HoloCurve) -> SurfacePatch:
     """Validate the minimal time-like conditions and build a SurfacePatch.
 
-    Checks on a grid x grid sample of the domain, in this order: every
+    Checks on a 33 x 33 sample of psi's domain, in this order: every
     sample of Psi' is finite; each null axis's component of Psi'^2 is at
     most ISOTHERMAL_TOL times that axis's Euclidean size max(1, sum
     phi_k^2) (isothermal); ||Psi'||^2 < 0 strictly (time-like), which a
@@ -239,11 +247,10 @@ def make_surface(psi: HoloCurve, domain: Box | None = None, grid: int = 33) -> S
     warn of, an inf or a NaN, is refused here instead.
     Holomorphy holds by construction of HoloCurve.
     """
-    domain = domain or psi.domain
+    domain, grid = psi.domain, 33
     phi = psi.differentiate()
     phi_prime = phi.differentiate()
-    a = np.linspace(domain.a0, domain.a1, grid)
-    b = np.linspace(domain.b0, domain.b1, grid)
+    a, b = null_axes(domain, grid, grid)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         fm, fp = _null_samples(phi, a, b)
         finite = np.ones((grid, grid), dtype=bool)
@@ -325,24 +332,20 @@ def canonical_grid(S: SurfacePatch, chart, sa: np.ndarray, sb: np.ndarray) -> di
     """Normal-curvature data on the outer [sb, sa] grid of canonical null
     coordinates of a chart.
 
-    Each chart axis is inverted once, t = (sminus^-1(sa), splus^-1(sb)), and
-    the per-axis samples of Phi and Phi' are carried to canonical
-    coordinates by the chain rule Phi~ = Phi t', Phi~' = Phi' t'^2 + Phi t''.
-    Returns [sb, sa] arrays E, K, nu, mu, kappa and (n, nb, na) arrays x =
-    Re Psi and the unit-frame values sigma11 = sigma(X1, X1), sigma12 =
-    sigma(X1, X2).  Raises, naming the first offending point:
-    OutOfDomainError, DegeneratePointError, and MetricDegeneracyError for
-    E >= 0 or ||Phi~||^2 numerically zero.
+    Each chart axis is inverted once, (a, b) = chart.inv(sa, sb), and the
+    per-axis samples of Phi and Phi' are carried to canonical coordinates
+    by the chain rule Phi~ = Phi t', Phi~' = Phi' t'^2 + Phi t''.  Returns
+    [sb, sa] arrays E, K, nu, mu, kappa and (n, nb, na) arrays x = Re Psi
+    and the unit-frame values sigma11 = sigma(X1, X1), sigma12 =
+    sigma(X1, X2).  Raises ValueError for a conjugated chart, whose grid no
+    caller needs; chart.inv's OutOfDomainError for an s out of the chart's
+    range; and, naming the first offending point, DegeneratePointError and
+    MetricDegeneracyError for E >= 0 or ||Phi~||^2 numerically zero.
     """
+    if chart.conjugate_output:
+        raise ValueError("canonical_grid refuses a conjugated chart")
     sm, sp = chart.sminus, chart.splus
-    a = sm.inv(np.asarray(sa, dtype=float))
-    b = sp.inv(np.asarray(sb, dtype=float))
-    box = S.domain
-    out_a = ~((box.a0 - 1e-12 <= a) & (a <= box.a1 + 1e-12))
-    out_b = ~((box.b0 - 1e-12 <= b) & (b <= box.b1 + 1e-12))
-    bad = _first(out_a[None, :] | out_b[:, None], a, b)
-    if bad is not None:
-        box.check(bad[1])
+    a, b = chart.inv(np.asarray(sa, dtype=float), np.asarray(sb, dtype=float))
 
     fm, fp = _null_samples(S.phi, a, b)
     gm, gp = _null_samples(S.phi_prime, a, b)

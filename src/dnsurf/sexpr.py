@@ -438,29 +438,27 @@ def subst_t(e: Expr, repl: Expr) -> Expr:
 _NP_FUNC: dict = {}
 
 
-def eval_expr(e: Expr, t, jval=None):
-    """Evaluate e at a float or numpy array t, with j = jval (default +1)."""
+def eval_expr(e: Expr, t):
+    """Evaluate e, lowered by subst_j, at a float or numpy array t."""
     if not _NP_FUNC:
         import numpy as np
 
         _NP_FUNC.update((name, getattr(np, name)) for name in FUNCTIONS)
-    return _eval_real(e, t, jval if jval is not None else 1.0)
+    return _eval_real(e, t)
 
 
-def _eval_real(e: Expr, x, jval: float):
+def _eval_real(e: Expr, x):
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Pi):
         return math.pi
     if isinstance(e, Var):
         return x
-    if isinstance(e, Jay):
-        return jval
     if isinstance(e, Neg):
-        return -_eval_real(e.arg, x, jval)
+        return -_eval_real(e.arg, x)
     if isinstance(e, Bin):
-        a = _eval_real(e.left, x, jval)
-        b = _eval_real(e.right, x, jval)
+        a = _eval_real(e.left, x)
+        b = _eval_real(e.right, x)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -469,8 +467,8 @@ def _eval_real(e: Expr, x, jval: float):
             return a * b
         return a / b
     if isinstance(e, Pow):
-        return _eval_real(e.base, x, jval) ** e.exp
+        return _eval_real(e.base, x) ** e.exp
     if isinstance(e, App):
-        return _NP_FUNC[e.func](_eval_real(e.arg, x, jval))
-    raise TypeError(f"not an Expr: {e!r}")
+        return _NP_FUNC[e.func](_eval_real(e.arg, x))
+    raise TypeError(f"not a lowered Expr: {e!r}")
 

@@ -12,10 +12,12 @@ from dnsurf import cli, family, geom, holo, sexpr
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GALLERY = ROOT / "gallery"
 
-# subprocess tests run `python -m dnsurf.cli`; let them find the package too
+# subprocess tests run `python -m dnsurf.cli`; let them find the package too,
+# and turn a warning there into an error, as filterwarnings does in-process
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
 )
+os.environ["PYTHONWARNINGS"] = "error"
 
 
 def _load(name):

@@ -18,6 +18,7 @@ import pytest
 import pointwise_ref as ref
 from dnsurf import canon, family, holo, sexpr
 from dnsurf.dnum import DNum, nth_root_positive
+from dnsurf.errors import ChartModelError
 from dnsurf.geom import canonical_grid, grid_quantities
 from dnsurf.holo import Box
 from dnsurf.mink import dot
@@ -52,7 +53,7 @@ def _grid_points(g):
 def test_criterion_01_k_formula_agreement(s1, s2):
     worst_pb = worst_lap = 0.0
     for S in (s1, s2):
-        g = grid_quantities(S, 64, 64, richardson=True, box=_inset(S.domain))
+        g = grid_quantities(S, 64, 64, box=_inset(S.domain))
         worst_pb = max(worst_pb, float(np.max(
             np.abs(g["K_proj"] - g["K_biv"]) / np.abs(g["K_biv"]))))
         worst_lap = max(worst_lap, float(np.max(
@@ -66,7 +67,7 @@ def test_criterion_01_k_formula_agreement(s1, s2):
             ok = ok and abs(k - want) <= 1e-9
 
     # closed form on the second surface against the frozen oracle value
-    g = grid_quantities(s2, 64, 64, richardson=True, box=_inset(s2.domain))
+    g = grid_quantities(s2, 64, 64, box=_inset(s2.domain))
     v = g["v"]
     closed = -8.0 * np.sinh(2 * v) * np.sin(2 * v) / (
         np.cos(2 * v) - np.cosh(2 * v)) ** 3
@@ -83,7 +84,7 @@ def test_criterion_01_k_formula_agreement(s1, s2):
 def test_criterion_02_gauss_equation(s1, s2):
     worst = 0.0
     for S in (s1, s2):
-        g = grid_quantities(S, 64, 64, richardson=True, box=_inset(S.domain))
+        g = grid_quantities(S, 64, 64, box=_inset(S.domain))
         worst = max(worst, float(np.max(g["gauss_residual"])))
     _report(2, "Gauss equation residual <= 5e-4", worst <= 5e-4,
             f"max {worst:.2e}")
@@ -93,7 +94,7 @@ def test_criterion_03_perp_square_identity(gallery):
     """Phi'perp^2 by the reference route against Phi'^2 = P q + Q qbar on the grid."""
     worst = 0.0
     for S in gallery:
-        g = grid_quantities(S, 50, 50, richardson=False, box=_inset(S.domain))
+        g = grid_quantities(S, 50, 50, box=_inset(S.domain))
         for t, P, Q in zip(_grid_points(g), g["P"].ravel().tolist(), g["Q"].ravel().tolist()):
             perp = ref.point_data(S, t).phi_perp
             lhs = dot(perp, perp)
@@ -136,15 +137,25 @@ def test_criterion_04_canonization(s1, s2):
             f"s=2^(1/4)t dev {worst:.2e}, verify {res:.2e}, k=4 dev {worst4:.2e}")
 
 
-def test_criterion_05_uniqueness(s2):
-    c1 = canon.canonize(s2)
-    c2 = canon.canonize(s2, DNum.from_null(-0.8, 0.6))
-    rel = canon.relate_charts(c1, c2)
-    ok = rel.residual <= 1e-7 and not rel.conjugated and rel.sign in (1, -1)
-    rel2 = canon.relate_charts(c1, c2.conjugated())
-    ok = ok and rel2.conjugated and rel2.residual <= 1e-7
+def test_criterion_05_uniqueness(s2, s5, s6):
+    """Two base points of one surface relate by s1 = s2 + c, conjugation is
+    detected, and an a axis stretched by 1.001 fits no model; on s2's linear
+    chart and on the curved charts of s5 and s6."""
+    ok, details = True, []
+    for S, base in ((s2, (-0.8, 0.6)), (s5, (-1.5, 1.7)), (s6, (-1.5, 1.7))):
+        c1 = canon.canonize(S)
+        c2 = canon.canonize(S, DNum.from_null(*base))
+        rel = canon.relate_charts(c1, c2)
+        ok = ok and rel.residual <= 1e-7 and not rel.conjugated and rel.sign == 1
+        rel2 = canon.relate_charts(c1, c2.conjugated())
+        ok = ok and rel2.conjugated and rel2.residual <= 1e-7
+        stretched = c2.replace(sminus=canon.map_scale_output(c2.sminus, 1.001))
+        with pytest.raises(ChartModelError, match="best residual") as refused:
+            canon.relate_charts(c1, stretched)
+        details.append(f"{rel.residual:.1e}/{rel2.residual:.1e}, stretched "
+                       f"{str(refused.value).rsplit(' ', 1)[-1]}")
     _report(5, "chart uniqueness t = +/- s + c and conjugation detection",
-            ok, f"residuals {rel.residual:.2e}, {rel2.residual:.2e}")
+            ok, "; ".join(details))
 
 
 def test_criterion_06_degeneracy(gallery, s3, s4):
@@ -152,7 +163,7 @@ def test_criterion_06_degeneracy(gallery, s3, s4):
     ok = True
     worst_k = 0.0
     for S in (s3, s4):
-        g = grid_quantities(S, 25, 20, richardson=False)
+        g = grid_quantities(S, 25, 20)
         ok = ok and bool(np.all(g["class"] == ref.PointClass.DEGENERATE))
         worst_k = max(worst_k, float(np.max(np.abs(g["K_biv"]))))
         for t in _grid_points(g):
@@ -163,7 +174,7 @@ def test_criterion_06_degeneracy(gallery, s3, s4):
     # membership of Phi'perp^2 (reference) and of Phi'^2 (grid) in D0 union D+
     worst_neg = 0.0
     for S in gallery:
-        g = grid_quantities(S, 25, 10, richardson=False)
+        g = grid_quantities(S, 25, 10)
         for t, P, Q in zip(_grid_points(g), g["P"].ravel().tolist(), g["Q"].ravel().tolist()):
             perp = ref.point_data(S, t).phi_perp
             for sq in (dot(perp, perp), DNum.from_null(P, Q)):
@@ -176,7 +187,7 @@ def test_criterion_06_degeneracy(gallery, s3, s4):
 
 def test_criterion_07_families(s1, s2, boost):
     def E(S, box=None):
-        return grid_quantities(S, 33, 33, richardson=False, box=box)["E"]
+        return grid_quantities(S, 33, 33, box=box)["E"]
 
     base_E = E(s1)
     worst_assoc = 0.0
@@ -222,11 +233,12 @@ def test_criterion_08_hyperbola(s2):
 
     worst = 0.0
     worst_frame = 0.0
-    for j, y in enumerate(sb):
-        for i, x in enumerate(sa):
+    a, b = chart.inv(sa, sb)
+    for j, y in enumerate(b.tolist()):
+        for i, x in enumerate(a.tolist()):
             nu, mu, kappa, E = (float(g[k][j, i]) for k in ("nu", "mu", "kappa", "E"))
             sig11, sig12 = g["sigma11"][:, j, i], g["sigma12"][:, j, i]
-            t = chart.inv(DNum.from_null(float(x), float(y)))
+            t = DNum.from_null(x, y)
             Kb = ref.gauss_K(s2, t, "bivector")  # invariant, independent route
             worst = max(
                 worst,

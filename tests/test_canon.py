@@ -6,7 +6,7 @@ import pytest
 from dnsurf import canon
 from dnsurf.canon import CanonicalChart, Map1D, canonize, isotropic_chart, relate_charts, verify_canonical
 from dnsurf.dnum import DNum
-from dnsurf.errors import ChartModelError, DegeneratePointError
+from dnsurf.errors import ChartModelError, DegeneratePointError, OutOfDomainError
 
 
 def test_canonize_s1_identity(s1):
@@ -96,16 +96,40 @@ def test_map_axes_accept_arrays(s5):
     assert lin.d2fwd(0.5) == 0.0
 
 
-def test_inverse_roundtrip(s2):
-    chart = canonize(s2)
+def test_inverse_roundtrip(s2, s5, s6):
+    """inv(*fwd(a, b)) gives back (a, b) per axis, on axes of different
+    lengths, for a chart and its conjugate."""
     rng = np.random.default_rng(37)
-    for _ in range(50):
-        t = DNum.from_null(
-            rng.uniform(s2.domain.a0, s2.domain.a1),
-            rng.uniform(s2.domain.b0, s2.domain.b1),
-        )
-        back = chart.inv(chart.fwd(t))
-        np.testing.assert_allclose([back.p, back.m], [t.p, t.m], atol=1e-9)
+    for S in (s2, s5, s6):
+        chart = canonize(S)
+        a = rng.uniform(S.domain.a0, S.domain.a1, 50)
+        b = rng.uniform(S.domain.b0, S.domain.b1, 30)
+        for c in (chart, chart.conjugated()):
+            sa, sb = c.fwd(a, b)
+            assert sa.shape == ((30,) if c.conjugate_output else (50,))
+            back_a, back_b = c.inv(sa, sb)
+            np.testing.assert_allclose(back_a, a, atol=1e-9)
+            np.testing.assert_allclose(back_b, b, atol=1e-9)
+        # the conjugated chart swaps the null slots of s
+        for got, want in zip(chart.conjugated().fwd(a, b)[::-1], chart.fwd(a, b)):
+            np.testing.assert_array_equal(got, want)
+        assert chart.inv(*chart.fwd(-1.0, 1.0)) == pytest.approx((-1.0, 1.0), abs=1e-9)
+
+
+def test_inverse_refuses_s_outside_the_range(s6):
+    """Map1D.inv clamps to the domain; chart.inv names an out-of-range s
+    instead, sa before sb, and in the conjugated chart sa is on the b map."""
+    chart = canonize(s6)
+    box = chart.s_box
+    with pytest.raises(OutOfDomainError, match=r"sa=-6\.0 outside"):
+        chart.inv(np.array([0.0, -6.0]), np.array([box.b1 + 1.0]))
+    with pytest.raises(OutOfDomainError, match=r"sb=nan"):
+        chart.inv(np.array([0.0]), np.array([0.0, np.nan]))
+    with pytest.raises(OutOfDomainError, match=f"sa={box.b1 + 0.5!r} outside \\[{box.b0!r}"):
+        chart.conjugated().inv(box.b1 + 0.5, box.a1 + 0.5)
+    # within the 1e-12 slack the ends invert to the domain's ends
+    a, b = chart.inv(box.a0 - 5e-13, box.b1 + 5e-13)
+    assert (a, b) == pytest.approx((s6.domain.a0, s6.domain.b1), abs=1e-9)
 
 
 def test_relate_charts_identity_and_shift(s2):
@@ -119,7 +143,7 @@ def test_relate_charts_identity_and_shift(s2):
     assert rel.sign == 1 and not rel.conjugated
     assert rel.residual <= 1e-7
     # c equals the s-difference of the two base points under c1
-    want = c1.fwd(c2.base)
+    want = DNum.from_null(*c1.fwd(c2.base.p, c2.base.m))
     np.testing.assert_allclose([rel.c.re, rel.c.im], [want.re, want.im], atol=1e-8)
 
 
@@ -173,10 +197,10 @@ def test_isotropic_lines_have_null_tangents(s1):
     chart = canonize(s1, DNum.from_null(-1.0, 1.2))
     iso = isotropic_chart(chart)
     h = 1e-6
-    s0 = iso.fwd(DNum.from_null(-0.7, 1.0))
+    sa, sb = iso.fwd(-0.7, 1.0)
     # move along the q null direction of s
-    t_a = iso.inv(DNum.from_null(s0.p + h, s0.m))
-    t_b = iso.inv(DNum.from_null(s0.p - h, s0.m))
+    a, b = iso.inv(np.array([sa + h, sa - h]), sb)
+    t_a, t_b = (DNum.from_null(float(x), b) for x in a)
     d = s1.psi.eval_unchecked(t_a) - s1.psi.eval_unchecked(t_b)
     d = d.scale(DNum(1.0 / (2 * h)))
     sq = dot(d, d)

@@ -267,6 +267,27 @@ S1_SPEC = {"name": "s1", "n": 3, "psi": ["t", "sin(t)", "-cos(t)"],
            "domain": {"a": [-2.0, 0.0], "b": [0.4, 2.0]}}
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["family", "--op", "conjugate"],
+    ["family", "--op", "homothety", "--k", "2"],
+], ids=["check", "family-conjugate", "family-homothety"])
+def test_domain_edge_near_a_null_point_runs_without_warnings(tmp_path, argv):
+    """s1 with b down to 0.002: E = -sin^2 v is -1e-6 at the corner
+    (a, b) = (0, 0.002) and 0 a step of 1e-3 past it, where the laplacian
+    stencil's ln(-||Phi||^2) is undefined.  check and family sample only
+    the domain, so they exit 0 with an empty stderr (the children run with
+    PYTHONWARNINGS=error, see conftest)."""
+    spec = tmp_path / "edge.json"
+    spec.write_text(json.dumps({**S1_SPEC, "domain": {"a": [-2.0, 0.0], "b": [0.002, 2.0]}}))
+    cmd, *rest = argv
+    if cmd == "family":
+        rest += ["--out", tmp_path / "f.json"]
+    r = subprocess.run([sys.executable, "-m", "dnsurf.cli", cmd, spec, *map(str, rest)],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+
+
 def _write(path, data):
     """data as given (bytes or text), or else as JSON text."""
     if isinstance(data, bytes):

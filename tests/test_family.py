@@ -17,7 +17,7 @@ from dnsurf.geom import grid_quantities
 
 
 def _E(S, box=None, n=33):
-    return grid_quantities(S, n, n, richardson=False, box=box)["E"]
+    return grid_quantities(S, n, n, box=box)["E"]
 
 
 def test_motion_validation():
@@ -119,8 +119,8 @@ def test_conjugate_not_in_associated_family():
 def test_motion_preserves_invariants(s1, s2, boost):
     M = Motion.boost(3, 0, 1, 0.3)
     S = apply_motion(s1, M)
-    g1 = grid_quantities(s1, 17, 17, richardson=False)
-    g2 = grid_quantities(S, 17, 17, richardson=False)
+    g1 = grid_quantities(s1, 17, 17)
+    g2 = grid_quantities(S, 17, 17)
     np.testing.assert_allclose(g2["K_biv"], g1["K_biv"], atol=1e-10)
     np.testing.assert_allclose(g2["E"], g1["E"], atol=1e-10)
     # nu vanishes on S1; compare the squares, which carry the invariant
@@ -128,8 +128,8 @@ def test_motion_preserves_invariants(s1, s2, boost):
     np.testing.assert_allclose(g2["nu"] ** 2, g1["nu"] ** 2, atol=1e-9)
     np.testing.assert_allclose(g2["mu"] ** 2, g1["mu"] ** 2, atol=1e-9)
     S2b = apply_motion(s2, boost)
-    g1 = grid_quantities(s2, 17, 17, richardson=False)
-    g2 = grid_quantities(S2b, 17, 17, richardson=False)
+    g1 = grid_quantities(s2, 17, 17)
+    g2 = grid_quantities(S2b, 17, 17)
     np.testing.assert_allclose(g2["K_biv"], g1["K_biv"], atol=1e-9)
 
 
@@ -157,7 +157,7 @@ def test_constructions_keep_E_and_K_biv_at_large_parameters(s1, s6, name, constr
         T, factor = homothety(S, p), p * p
     else:
         T, scale = apply_motion(S, Motion.boost(3, 0, 1, p)), math.cosh(p) ** 2
-    g, h = (grid_quantities(X, 9, 9, richardson=False) for X in (S, T))
+    g, h = (grid_quantities(X, 9, 9) for X in (S, T))
     np.testing.assert_allclose(h["E"], factor * g["E"], rtol=1e-12 * scale, atol=0)
     np.testing.assert_allclose(factor * h["K_biv"], g["K_biv"], rtol=1e-12 * scale, atol=0)
 
@@ -250,8 +250,8 @@ def test_per_axis_route_matches_spec_route(s1, s2, s6, boost):
     for per_axis, (new_exprs, new_box) in cases:
         spec_route = geom.make_surface(holo.HoloCurve.from_exprs(new_exprs, new_box))
         assert per_axis.domain == new_box
-        g1 = grid_quantities(per_axis, 17, 17, richardson=False)
-        g2 = grid_quantities(spec_route, 17, 17, richardson=False)
+        g1 = grid_quantities(per_axis, 17, 17)
+        g2 = grid_quantities(spec_route, 17, 17)
         for key in ("E", "K_biv"):
             np.testing.assert_allclose(g1[key], g2[key], rtol=1e-12, atol=0)
 

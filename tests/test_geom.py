@@ -213,8 +213,7 @@ def test_key_identity_perp_square(s1, s2, s4):
 
 
 def test_grid_quantities_match_pointwise(s2):
-    g = geom.grid_quantities(s2, 9, 9, richardson=True,
-                             box=geom.Box(-0.9, -0.1, 0.5, 1.9))
+    g = geom.grid_quantities(s2, 9, 9, box=geom.Box(-0.9, -0.1, 0.5, 1.9))
     for i in (1, 4, 7):
         for k in (2, 5):
             t = DNum.from_null(g["a"][i, k], g["b"][i, k])
@@ -285,9 +284,10 @@ def test_canonical_grid_matches_scalar_routes(s1, s2, s5):
         sa, sb = _padded_axes(chart, 7, 6)
         g = geom.canonical_grid(S, chart, sa, sb)
         assert g["x"].shape == (S.n, 6, 7) and g["K"].shape == (6, 7)
-        for j, y in enumerate(sb):
-            for i, x in enumerate(sa):
-                t = chart.inv(DNum.from_null(float(x), float(y)))
+        a, b = chart.inv(sa, sb)
+        for j, y in enumerate(b.tolist()):
+            for i, x in enumerate(a.tolist()):
+                t = DNum.from_null(x, y)
                 want_x = ref.point_data(S, t).x
                 np.testing.assert_allclose(g["x"][:, j, i], want_x, rtol=1e-10,
                                            atol=1e-10 * np.max(np.abs(want_x)))
@@ -317,13 +317,33 @@ def test_hyperbola_at_raises_where_it_did(s1, s3, s4):
     with pytest.raises(DegeneratePointError, match="degenerate point"):
         at_one(s4, 1.5, 0.0)
     box = s1.domain
-    with pytest.raises(OutOfDomainError, match="null coordinate a="):
+    with pytest.raises(OutOfDomainError, match="canonical null coordinate sa="):
         at_one(s1, box.a1 + 0.5, 1.0)
-    with pytest.raises(OutOfDomainError, match="null coordinate b="):
+    with pytest.raises(OutOfDomainError, match="canonical null coordinate sb="):
         at_one(s1, -1.0, box.b0 - 0.5)
     g = at_one(s1, -math.pi / 2, math.pi / 2)
     np.testing.assert_allclose([g["K"][0, 0], g["E"][0, 0], g["mu"][0, 0]], [1.0, -1.0, 1.0],
                                atol=1e-12)
+
+
+def test_canonical_grid_refuses_s_outside_a_quadrature_chart(s6):
+    """s6's a axis has P = 1, so its canonize chart maps a in [-2, 0] onto
+    s_a in [-1, 1]; s_a = -6 is refused, not clamped to a = -2."""
+    chart = canon.canonize(s6)
+    sb = chart.s_box
+    assert (sb.a0, sb.a1) == pytest.approx((-1.0, 1.0), abs=1e-12)
+    mid_b = np.array([0.5 * (sb.b0 + sb.b1)])
+    with pytest.raises(OutOfDomainError, match=r"sa=-6\.0 outside \["):
+        geom.canonical_grid(s6, chart, np.array([0.0, -6.0]), mid_b)
+    with pytest.raises(OutOfDomainError, match="sb="):
+        geom.canonical_grid(s6, chart, np.array([0.0]), np.array([sb.b1 + 0.1]))
+
+
+def test_canonical_grid_refuses_a_conjugated_chart(s5):
+    chart = canon.canonize(s5).conjugated()
+    sa, sb = _padded_axes(chart, 3, 3)
+    with pytest.raises(ValueError, match="conjugated chart"):
+        geom.canonical_grid(s5, chart, sa, sb)
 
 
 def test_canonical_grid_names_first_offending_point(s1):
