@@ -3,10 +3,12 @@
 Phi'^2 factors over the null basis as P(a) q + Q(b) qbar, so the chart
 splits into two strictly increasing maps a -> s_a, b -> s_b obtained by
 integrating the positive fourth roots P^{1/4}, Q^{1/4}.  The additive
-constant is fixed by sending the base point to s = 0.  Each integrand is
-an AxisIntegrand: P (or Q) is the Minkowski combination, geom._combo, of
-the null components of Phi' on that axis, the same one geom uses, and the
-integrand's slope comes from the same samples.
+constant is fixed by sending the base point to s = 0.  P and Q come from
+geom.axis_square, the per-axis samples that geom's grids are built from:
+canonize's positive-cone check reads them, each integrand is their fourth
+root, and verify_canonical holds each map's derivative against them.  A
+map carries its first derivative only; the canonical grid needs no more
+(see geom.canonical_grid).
 
 Each map is a composite Simpson integral on a node-doubling ladder,
 interpolated between nodes by a piecewise cubic Hermite polynomial whose
@@ -26,8 +28,8 @@ import numpy as np
 from . import kernels
 from .dnum import DNum
 from .errors import ChartModelError, DegeneratePointError, OutOfDomainError, QuadratureError
-from .geom import SurfacePatch, _combo, null_axes
-from .holo import Box, RealFn1, sample
+from .geom import SurfacePatch, axis_square, null_axes
+from .holo import Box, sample
 from .value import Value, setfield
 
 #: Quadrature node ladder: start here, double until converged.
@@ -39,22 +41,21 @@ QUAD_TOL = 1e-10
 
 
 class Map1D(Value):
-    """A strictly increasing 1-D map with inverse and two derivatives.
+    """A strictly increasing 1-D map with its inverse and derivative.
 
-    Each of fwd, inv, dfwd and d2fwd takes a float or an array and returns
+    Each of fwd, inv and dfwd takes a float or an array and returns
     a float or an array of the same shape.  slo = fwd(lo) and shi = fwd(hi)
     bound its range, read from the map's ends once, when it is built.
     """
 
-    _fields = ("fwd", "inv", "dfwd", "d2fwd", "lo", "hi", "nodes", "deriv_min")
+    _fields = ("fwd", "inv", "dfwd", "lo", "hi", "nodes", "deriv_min")
     __slots__ = (*_fields, "slo", "shi")
 
-    def __init__(self, fwd: Callable, inv: Callable, dfwd: Callable, d2fwd: Callable,
+    def __init__(self, fwd: Callable, inv: Callable, dfwd: Callable,
                  lo: float, hi: float, nodes: int, deriv_min: float):
         setfield(self, "fwd", fwd)
         setfield(self, "inv", inv)
         setfield(self, "dfwd", dfwd)
-        setfield(self, "d2fwd", d2fwd)
         setfield(self, "lo", lo)
         setfield(self, "hi", hi)
         setfield(self, "nodes", nodes)
@@ -70,21 +71,20 @@ class Map1D(Value):
             fwd=lambda x: k * x + c,
             inv=lambda s: (s - c) / k,
             dfwd=lambda x: sample(lambda _: k, x),
-            d2fwd=lambda x: sample(lambda _: 0.0, x),
             lo=lo, hi=hi, nodes=2, deriv_min=k,
         )
 
     @classmethod
-    def from_quadrature(cls, fn, lo: float, hi: float, x0: float) -> "Map1D":
+    def from_quadrature(cls, fn: Callable, lo: float, hi: float, x0: float) -> "Map1D":
         """Cumulative integral of a positive integrand fn on [lo, hi],
         anchored to 0 at x0, with node count doubled until the composite
-        Simpson totals converge to QUAD_TOL.  fn is an AxisIntegrand or a
-        RealFn1, read through its values fn.f and slopes fn.df."""
+        Simpson totals converge to QUAD_TOL.  fn takes an array of x; the
+        map's dfwd is fn itself."""
         n = _MIN_NODES
         prev_total = None
         while True:
             xs = np.linspace(lo, hi, n)
-            ys = sample(fn.f, xs)
+            ys = sample(fn, xs)
             F = kernels.cumulative_simpson(ys, (hi - lo) / (n - 1))
             total = float(F[-1])
             if prev_total is not None and abs(total - prev_total) <= QUAD_TOL:
@@ -111,7 +111,7 @@ class Map1D(Value):
             x = np.interp(target, F, xs)
             live = np.ones(x.shape, dtype=bool)
             for _ in range(3):
-                d = sample(fn.f, x)
+                d = sample(fn, x)
                 live &= d > 0.0
                 with np.errstate(divide="ignore", invalid="ignore"):
                     step = (interp(x) - target) / d
@@ -120,8 +120,7 @@ class Map1D(Value):
 
         return cls(
             fwd=fwd, inv=inv,
-            dfwd=lambda x: sample(fn.f, x),
-            d2fwd=lambda x: sample(fn.df, x),
+            dfwd=lambda x: sample(fn, x),
             lo=lo, hi=hi, nodes=n, deriv_min=deriv_min,
         )
 
@@ -156,7 +155,6 @@ def map_scale_output(m: Map1D, c: float) -> Map1D:
         fwd=lambda x: c * m.fwd(x),
         inv=lambda s: m.inv(s / c),
         dfwd=lambda x: c * m.dfwd(x),
-        d2fwd=lambda x: c * m.d2fwd(x),
         lo=m.lo, hi=m.hi, nodes=m.nodes, deriv_min=c * m.deriv_min,
     )
 
@@ -167,7 +165,6 @@ def map_reflect_input(m: Map1D) -> Map1D:
         fwd=lambda x: -m.fwd(-x),
         inv=lambda s: -m.inv(-s),
         dfwd=lambda x: m.dfwd(-x),
-        d2fwd=lambda x: -m.d2fwd(-x),
         lo=-m.hi, hi=-m.lo, nodes=m.nodes, deriv_min=m.deriv_min,
     )
 
@@ -275,37 +272,6 @@ def transport_chart(
     raise ValueError(f"unknown construction {construction!r}")
 
 
-# -- the chart integrand -------------------------------------------------
-
-class AxisIntegrand(Value):
-    """The chart integrand on one null axis, from the null components g_k
-    of Phi' on that axis: square(x) = sum_k sign_k g_k(x)^2 is the
-    component of Phi'^2 there (P on a, Q on b), f its positive fourth root
-    and df the slope of f."""
-
-    __slots__ = _fields = ("g",)
-
-    def __init__(self, g: tuple[RealFn1, ...]):
-        setfield(self, "g", g)
-
-    def square(self, x):
-        g = [fn.f(x) for fn in self.g]
-        return _combo(g, g)
-
-    def f(self, x):
-        return self.square(x) ** 0.25
-
-    def df(self, x):
-        g = [fn.f(x) for fn in self.g]
-        return 2.0 * _combo(g, [fn.df(x) for fn in self.g]) / (4.0 * _combo(g, g) ** 0.75)
-
-
-def chart_integrands(S: SurfacePatch) -> tuple[AxisIntegrand, AxisIntegrand]:
-    """The integrands on the a and b axes, Phi'^2 = P(a) q + Q(b) qbar."""
-    comps = S.phi_prime.components
-    return AxisIntegrand(tuple(c.fminus for c in comps)), AxisIntegrand(tuple(c.fplus for c in comps))
-
-
 # -- canonization --------------------------------------------------------
 
 def canonize(S: SurfacePatch, base: DNum | None = None) -> CanonicalChart:
@@ -320,9 +286,8 @@ def canonize(S: SurfacePatch, base: DNum | None = None) -> CanonicalChart:
         base = DNum.from_null(0.5 * (box.a0 + box.a1), 0.5 * (box.b0 + box.b1))
     box.check(base)
 
-    ia, ib = chart_integrands(S)
     a, b = null_axes(box, 257, 257)
-    Pv, Qv = sample(ia.square, a), sample(ib.square, b)
+    Pv, Qv = axis_square(S, 0, a), axis_square(S, 1, b)
     thr = kernels.EPS_CLS * (1.0 + max(float(np.max(np.abs(Pv))), float(np.max(np.abs(Qv)))))
     if float(np.min(Pv)) <= thr:
         i = int(np.argmin(Pv))
@@ -337,8 +302,8 @@ def canonize(S: SurfacePatch, base: DNum | None = None) -> CanonicalChart:
             f"at b = {b[i]:.6g}"
         )
 
-    sminus = Map1D.from_quadrature(ia, box.a0, box.a1, base.p)
-    splus = Map1D.from_quadrature(ib, box.b0, box.b1, base.m)
+    sminus = Map1D.from_quadrature(lambda x: axis_square(S, 0, x) ** 0.25, box.a0, box.a1, base.p)
+    splus = Map1D.from_quadrature(lambda x: axis_square(S, 1, x) ** 0.25, box.b0, box.b1, base.m)
     return CanonicalChart(sminus=sminus, splus=splus, base=base)
 
 
@@ -361,9 +326,9 @@ def verify_canonical(S: SurfacePatch, chart: CanonicalChart) -> float:
     from canonize, dfwd is the integrand itself.
     """
     worst = 0.0
-    for fn, m in zip(chart_integrands(S), (chart.sminus, chart.splus)):
+    for side, m in enumerate((chart.sminus, chart.splus)):
         x = np.linspace(m.lo, m.hi, 65)
-        worst = max(worst, float(np.max(np.abs(sample(fn.square, x) / m.dfwd(x) ** 4 - 1.0))))
+        worst = max(worst, float(np.max(np.abs(axis_square(S, side, x) / m.dfwd(x) ** 4 - 1.0))))
         half = 0.5 * np.diff(x)[:, None]
         mid = 0.5 * (x[1:] + x[:-1])[:, None]
         integral = half[:, 0] * (m.dfwd(mid + half * _GL_X) @ _GL_W)

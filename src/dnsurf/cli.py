@@ -34,7 +34,8 @@ frozen they are left out of every collection, the one at interpreter
 shutdown included: that pass over numpy's ~32k container objects took a
 cold command 28-40 ms of teardown, against 9-10 ms frozen.  main()
 changes nothing about collection, because in-process callers run it
-many times and frozen objects are never collected.
+many times and frozen objects are never collected.  Those calls share
+one argument parser, built by the first.
 
 Exit codes: 0 success; 2 validation failure, malformed input included: a
 bad grid, --base, --project, --theta or --k, a spec or motion file that is
@@ -42,13 +43,15 @@ not UTF-8 or not a JSON object, an empty psi or a psi entry that is not
 a string, an n that is not an integer (true and false included), a
 domain range that is not two finite JSON numbers, a motion entry that is
 not a finite JSON number (a string or true and false included); 3 parse
-failure (a non-finite number literal included); 4 numeric failure
-(quadrature / degeneracy).
+failure (a non-finite number literal included, and an expression nested
+deeper than sexpr.MAX_DEPTH = 100 levels, refused before numpy loads); 4
+numeric failure (quadrature / degeneracy).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -451,7 +454,10 @@ def _write_grid(fh, cols, row_fmt):
 
 # -- entry point ---------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args fills the fresh Namespace that
+    _main passes it and leaves the parser as it was."""
     ap = argparse.ArgumentParser(
         prog="dnsurf",
         description="Minimal time-like surface toolkit over the double numbers",

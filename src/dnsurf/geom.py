@@ -5,8 +5,9 @@ A surface patch is a holomorphic curve Psi with x = Re Psi, Phi = Psi',
 subject to the isothermal condition Phi^2 = 0 and the time-like condition
 E = ||Phi||^2 / 2 < 0.  All curvature formulas below are expressed through
 Phi and Phi' only.  Because Phi(a q + b qbar) = Phi-(a) q + Phi+(b) qbar,
-each quantity on an [b, a] grid combines samples taken once per axis
-(_null_samples, _outer_core); nothing here is evaluated point by point.
+each quantity on an [b, a] grid combines samples taken once per axis by
+_axis_samples (via _null_samples, or axis_square for the null components
+P, Q of Phi'^2); nothing here is evaluated point by point.
 """
 
 from __future__ import annotations
@@ -98,13 +99,26 @@ def _metric_sign(k: int) -> float:
     return -1.0 if k == 0 else 1.0
 
 
+def _axis_samples(curve: HoloCurve, side: int, x):
+    """Each component's null component on one axis at x: fminus(x) for
+    side 0 (the a axis), fplus(x) for side 1 (the b axis)."""
+    return [sample((c.fminus, c.fplus)[side].f, x) for c in curve.components]
+
+
 def _null_samples(curve: HoloCurve, a: np.ndarray, b: np.ndarray):
     """Per-axis null samples of each component, shaped to broadcast to the
     outer [b, a] grid: (fminus(a) as (1, na) rows, fplus(b) as (nb, 1) columns)."""
     return (
-        [sample(c.fminus.f, a)[None, :] for c in curve.components],
-        [sample(c.fplus.f, b)[:, None] for c in curve.components],
+        [f[None, :] for f in _axis_samples(curve, 0, a)],
+        [f[:, None] for f in _axis_samples(curve, 1, b)],
     )
+
+
+def axis_square(S: SurfacePatch, side: int, x):
+    """The null component of Phi'^2 = P(a) q + Q(b) qbar on one axis: P(x)
+    for side 0, Q(x) for side 1; a float for scalar x, else an array."""
+    g = _axis_samples(S.phi_prime, side, x)
+    return _combo(g, g)
 
 
 def _combo(xs, ys):
@@ -130,7 +144,6 @@ def _outer_core(phi_s, phip_s) -> dict:
     fm, fp = phi_s
     gm, gp = phip_s
     norm_phi = _combo(fm, fp)
-    norm_phip = _combo(gm, gp)
     # conj(Phi) . Phi' and Phi . Phi' in null components
     cp_p, cp_m = _combo(fp, gm), _combo(fm, gp)
     dd_p, dd_m = _combo(fm, gm), _combo(fp, gp)
@@ -143,9 +156,9 @@ def _outer_core(phi_s, phip_s) -> dict:
         (qm - c1_p * pm - c2_p * pp, qp - c1_m * pp - c2_m * pm)
         for pm, pp, qm, qp in zip(fm, fp, gm, gp)
     )
-    wedge = norm_phi * norm_phip - cp_p * cp_m
+    wedge = norm_phi * _combo(gm, gp) - cp_p * cp_m
     return {
-        "norm_phi": norm_phi, "norm_phip": norm_phip,
+        "norm_phi": norm_phi,
         "P": _combo(gm, gm), "Q": _combo(gp, gp), "dd_p": dd_p, "dd_m": dd_m,
         "perp": perp, "K_biv": -4.0 * wedge / norm_phi**3,
     }
@@ -209,7 +222,6 @@ def grid_quantities(S: SurfacePatch, na: int, nb: int, box: Box | None = None) -
         "E": E, "K_proj": K_proj, "K_biv": K_biv, "K_lap": K_lap,
         "P": P2, "Q": Q2, "gauss_residual": gauss_residual,
         "class": cls, "nu": nu, "mu": mu, "kappa": kappa,
-        "norm_phip": core["norm_phip"], "norm_perp": norm_perp,
         "phi_phip_p": np.broadcast_to(core["dd_p"], (nb, na)),
         "phi_phip_m": np.broadcast_to(core["dd_m"], (nb, na)),
     }
@@ -228,8 +240,7 @@ def energy_grid(S: SurfacePatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def degenerate_grid(S: SurfacePatch, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Where Phi'^2 is null on the outer [b, a] grid: grid_quantities'
     class 0, without the sweep, whose laplacian stencil needs a margin."""
-    gm, gp = _null_samples(S.phi_prime, a, b)
-    return _degenerate(_combo(gm, gm), _combo(gp, gp))
+    return _degenerate(axis_square(S, 0, a)[None, :], axis_square(S, 1, b)[:, None])
 
 
 # -- construction and validation -----------------------------------------
@@ -332,9 +343,10 @@ def canonical_grid(S: SurfacePatch, chart, sa: np.ndarray, sb: np.ndarray) -> di
     """Normal-curvature data on the outer [sb, sa] grid of canonical null
     coordinates of a chart.
 
-    Each chart axis is inverted once, (a, b) = chart.inv(sa, sb), and the
-    per-axis samples of Phi and Phi' are carried to canonical coordinates
-    by the chain rule Phi~ = Phi t', Phi~' = Phi' t'^2 + Phi t''.  Returns
+    Each chart axis is inverted once, (a, b) = chart.inv(sa, sb).  With
+    the per-axis t' = 1 / s', Phi~ = Phi t' and Phi~' = Phi' t'^2 + Phi t'',
+    whose tangent t'' term the projection drops: Phi~'perp is Phi'perp with
+    its q, qbar components scaled by t'_a^2, t'_b^2.  Returns
     [sb, sa] arrays E, K, nu, mu, kappa and (n, nb, na) arrays x = Re Psi
     and the unit-frame values sigma11 = sigma(X1, X1), sigma12 =
     sigma(X1, X2).  Raises ValueError for a conjugated chart, whose grid no
@@ -344,26 +356,16 @@ def canonical_grid(S: SurfacePatch, chart, sa: np.ndarray, sb: np.ndarray) -> di
     """
     if chart.conjugate_output:
         raise ValueError("canonical_grid refuses a conjugated chart")
-    sm, sp = chart.sminus, chart.splus
     a, b = chart.inv(np.asarray(sa, dtype=float), np.asarray(sb, dtype=float))
 
-    fm, fp = _null_samples(S.phi, a, b)
-    gm, gp = _null_samples(S.phi_prime, a, b)
-    bad = _first(_degenerate(_combo(gm, gm), _combo(gp, gp)), a, b)
+    phip_s = _null_samples(S.phi_prime, a, b)
+    bad = _first(_degenerate(*(_combo(g, g) for g in phip_s)), a, b)
     if bad is not None:
         raise DegeneratePointError(f"degenerate point at t = {bad[1]!r}")
+    core = _outer_core(_null_samples(S.phi, a, b), phip_s)
 
-    # per-axis t' = 1 / s' and t'' = -s'' / s'^3
-    d1a, d1b = sm.dfwd(a)[None, :], sp.dfwd(b)[:, None]
-    d2a, d2b = sm.d2fwd(a)[None, :], sp.d2fwd(b)[:, None]
-    t1a, t1b = 1.0 / d1a, 1.0 / d1b
-    t2a, t2b = -d2a / d1a**3, -d2b / d1b**3
-    core = _outer_core(
-        ([f * t1a for f in fm], [f * t1b for f in fp]),
-        ([g * t1a**2 + f * t2a for f, g in zip(fm, gm)],
-         [g * t1b**2 + f * t2b for f, g in zip(fp, gp)]),
-    )
-    ns = core["norm_phi"]
+    ta, tb = 1.0 / chart.sminus.dfwd(a)[None, :], 1.0 / chart.splus.dfwd(b)[:, None]
+    ns = core["norm_phi"] * (ta * tb)
     E = 0.5 * ns
     bad = _first(E >= 0.0, a, b)
     if bad is not None:
@@ -376,7 +378,7 @@ def canonical_grid(S: SurfacePatch, chart, sa: np.ndarray, sb: np.ndarray) -> di
 
     # sigma(x_u, x_u) = Re Phi~'perp, sigma(x_u, x_v) = Im Phi~'perp,
     # scaled to the unit frame X1 = x_u / sqrt(-E), X2 = x_v / sqrt(-E)
-    perp = list(core["perp"])
+    perp = [(q * ta**2, qb * tb**2) for q, qb in core["perp"]]
     sig11 = np.stack([(q + qb) / 2.0 for q, qb in perp]) / (-E)
     sig12 = np.stack([(qb - q) / 2.0 for q, qb in perp]) / (-E)
     nu = np.sqrt(np.maximum(0.0, _combo(sig11, sig11)))

@@ -173,6 +173,13 @@ def powi(a: Expr, k: int) -> Expr:
 
 # -- parser --------------------------------------------------------------
 
+#: Deepest nesting parse admits, each operator, function and parenthesis
+#: pair counting one level.  Every pass over an expression recurses once
+#: per level, and a second derivative is up to ~3x as deep (a product of
+#: t's), so a spec's passes stay far below Python's 1000-frame limit.
+MAX_DEPTH = 100
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
@@ -192,52 +199,65 @@ class _Tokens:
         self.pos += 1
 
 
+def _level(depth: int, pos: int) -> int:
+    """depth, refused with a ParseError at byte offset pos past MAX_DEPTH.
+    Each _parse_* takes the depth it starts at and returns its expression
+    with the depth that it reaches."""
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+    return depth
+
+
 def parse(text: str) -> Expr:
-    """Parse an expression in the variable t; errors carry byte offsets."""
+    """Parse an expression in the variable t; errors, nesting deeper than
+    MAX_DEPTH included, carry byte offsets."""
     toks = _Tokens(text)
-    e = _parse_expr(toks)
+    e, _ = _parse_expr(toks, 0)
     toks.skip_ws()
     if toks.pos != len(text):
         raise ParseError(f"unexpected trailing input {text[toks.pos:]!r}", toks.pos)
     return e
 
 
-def _parse_expr(toks: _Tokens) -> Expr:
-    e = _parse_term(toks)
+def _parse_expr(toks: _Tokens, depth: int):
+    e, d = _parse_term(toks, depth)
     while toks.peek() in ("+", "-"):
         op = toks.peek()
+        op_pos = toks.pos
         toks.pos += 1
-        rhs = _parse_term(toks)
-        e = Bin(op, e, rhs)
-    return e
+        rhs, dr = _parse_term(toks, depth)
+        e, d = Bin(op, e, rhs), _level(max(d, dr) + 1, op_pos)
+    return e, d
 
 
-def _parse_term(toks: _Tokens) -> Expr:
-    e = _parse_factor(toks)
+def _parse_term(toks: _Tokens, depth: int):
+    e, d = _parse_factor(toks, depth)
     while toks.peek() in ("*", "/"):
         op = toks.peek()
         op_pos = toks.pos
         toks.pos += 1
-        rhs = _parse_factor(toks)
+        rhs, dr = _parse_factor(toks, depth)
         if op == "/" and _is_literal_zero(rhs):
             raise ParseError("division by the literal 0", op_pos)
-        e = Bin(op, e, rhs)
-    return e
+        e, d = Bin(op, e, rhs), _level(max(d, dr) + 1, op_pos)
+    return e, d
 
 
 def _is_literal_zero(e: Expr) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 
 
-def _parse_factor(toks: _Tokens) -> Expr:
+def _parse_factor(toks: _Tokens, depth: int):
     if toks.peek() == "-":
         toks.pos += 1
-        return Neg(_parse_factor(toks))
-    e = _parse_base(toks)
+        e, d = _parse_factor(toks, _level(depth + 1, toks.pos - 1))
+        return Neg(e), d
+    e, d = _parse_base(toks, depth)
     if toks.peek() == "^":
+        d = _level(d + 1, toks.pos)
         toks.pos += 1
         e = Pow(e, _parse_int(toks))
-    return e
+    return e, d
 
 
 def _parse_int(toks: _Tokens) -> int:
@@ -253,22 +273,22 @@ def _parse_int(toks: _Tokens) -> int:
     return int(text[start : toks.pos])
 
 
-def _parse_base(toks: _Tokens) -> Expr:
+def _parse_base(toks: _Tokens, depth: int):
     ch = toks.peek()
     if ch == "":
         raise ParseError("unexpected end of input", toks.pos)
     if ch == "(":
         open_pos = toks.pos
         toks.pos += 1
-        e = _parse_expr(toks)
+        e, d = _parse_expr(toks, _level(depth + 1, open_pos))
         if toks.peek() != ")":
             raise ParseError("unbalanced parentheses", open_pos)
         toks.pos += 1
-        return e
+        return e, d
     if ch.isdigit() or ch == ".":
-        return _parse_number(toks)
+        return _parse_number(toks), depth
     if ch.isalpha():
-        return _parse_ident(toks)
+        return _parse_ident(toks, depth)
     raise ParseError(f"unexpected character {ch!r}", toks.pos)
 
 
@@ -296,7 +316,7 @@ def _parse_number(toks: _Tokens) -> Expr:
     return Num(value)
 
 
-def _parse_ident(toks: _Tokens) -> Expr:
+def _parse_ident(toks: _Tokens, depth: int):
     text = toks.text
     start = toks.pos
     i = toks.pos
@@ -305,18 +325,18 @@ def _parse_ident(toks: _Tokens) -> Expr:
     name = text[start:i]
     toks.pos = i
     if name == "t":
-        return Var()
+        return Var(), depth
     if name == "j":
-        return Jay()
+        return Jay(), depth
     if name == "pi":
-        return Pi()
+        return Pi(), depth
     if name in FUNCTIONS:
         toks.expect("(")
-        arg = _parse_expr(toks)
+        arg, d = _parse_expr(toks, _level(depth + 1, start))
         if toks.peek() != ")":
             raise ParseError("unbalanced parentheses", start)
         toks.pos += 1
-        return App(name, arg)
+        return App(name, arg), d
     raise ParseError(f"unknown identifier {name!r}", start)
 
 

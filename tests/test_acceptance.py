@@ -220,26 +220,29 @@ def test_criterion_07_families(s1, s2, boost):
                 f"transport {worst_tr:.2e}")
 
 
-def test_criterion_08_hyperbola(s2):
-    chart = canon.canonize(s2)
+def _hyperbola_defects(S, chart):
+    """Worst defects of criterion 8 on a padded 9 x 9 grid of the chart:
+    the invariant relations; |<sigma11, sigma12>| / (nu^2 + mu^2), the
+    orthogonality of the semi-axes; and, for n >= 4, the unit frame and the
+    frame equation.  In n = 3 the normal space is a line, kappa = 0 and one
+    of nu, mu vanishes, so there is no frame to normalize."""
     sbox = chart.s_box
     wa, wb = sbox.a1 - sbox.a0, sbox.b1 - sbox.b0
     sa = np.linspace(sbox.a0 + 0.02 * wa, sbox.a1 - 0.02 * wa, 9)
     sb = np.linspace(sbox.b0 + 0.02 * wb, sbox.b1 - 0.02 * wb, 9)
-    g = canonical_grid(s2, chart, sa, sb)
+    g = canonical_grid(S, chart, sa, sb)
 
     def mdot(x, y):
         return float(-x[0] * y[0] + np.dot(x[1:], y[1:]))
 
-    worst = 0.0
-    worst_frame = 0.0
+    worst = worst_orth = worst_frame = 0.0
     a, b = chart.inv(sa, sb)
     for j, y in enumerate(b.tolist()):
         for i, x in enumerate(a.tolist()):
             nu, mu, kappa, E = (float(g[k][j, i]) for k in ("nu", "mu", "kappa", "E"))
             sig11, sig12 = g["sigma11"][:, j, i], g["sigma12"][:, j, i]
             t = DNum.from_null(x, y)
-            Kb = ref.gauss_K(s2, t, "bivector")  # invariant, independent route
+            Kb = ref.gauss_K(S, t, "bivector")  # invariant, independent route
             worst = max(
                 worst,
                 abs(Kb - (mu**2 - nu**2)),
@@ -247,6 +250,9 @@ def test_criterion_08_hyperbola(s2):
                 abs(Kb * Kb + kappa**2 - (mu**2 + nu**2) ** 2),
                 abs(E + (Kb * Kb + kappa**2) ** -0.25),
             )
+            worst_orth = max(worst_orth, abs(mdot(sig11, sig12)) / (nu**2 + mu**2))
+            if S.n < 4:
+                continue
             assert min(nu, mu) > 1e-10 * (1.0 + nu + mu)  # the frame is not degenerate
             n1, n2 = sig11 / nu, sig12 / mu
             worst = max(
@@ -263,9 +269,23 @@ def test_criterion_08_hyperbola(s2):
                     worst_frame,
                     abs((xi / nu) ** 2 - (eta / mu) ** 2 - 1.0),
                 )
-    ok = worst <= 1e-8 and worst_frame <= 1e-8
-    _report(8, "hyperbola invariant relations and frame equation", ok,
-            f"relations {worst:.2e}, frame {worst_frame:.2e}")
+    return worst, worst_orth, worst_frame
+
+
+def test_criterion_08_hyperbola(s2, s5, s6):
+    """On s2's linear chart and the curved charts of s5 and s6; a chart
+    whose a axis is stretched by 1.001 is not canonical, and its sigma11
+    and sigma12 are no longer orthogonal."""
+    ok, details = True, []
+    for S in (s2, s5, s6):
+        chart = canon.canonize(S)
+        worst, orth, frame = _hyperbola_defects(S, chart)
+        stretched = chart.replace(sminus=canon.map_scale_output(chart.sminus, 1.001))
+        orth_stretched = _hyperbola_defects(S, stretched)[1]
+        ok = ok and max(worst, orth, frame) <= 1e-8 and orth_stretched > 1e-8
+        details.append(f"relations {worst:.2e}, orthogonality {orth:.2e}, frame {frame:.2e}, "
+                       f"stretched {orth_stretched:.1e}")
+    _report(8, "hyperbola invariant relations and frame equation", ok, "; ".join(details))
 
 
 def test_criterion_09_algebra_layer():

@@ -1,5 +1,6 @@
 """CLI: exit codes, determinism, round-trips, export formats."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -42,6 +43,31 @@ def test_check_parse_failure(tmp_path, capsys):
     }))
     assert run_cli("check", bad) == 3
     assert "parse error" in capsys.readouterr().err
+
+
+#: Nesting past sexpr.MAX_DEPTH that once ended in a RecursionError: the
+#: parser recurses 5 frames per sin(, and diff_t, subst_j and eval_expr
+#: once per level of a long sum, product or run of unary minus signs.
+DEEP_EXPRESSIONS = {
+    "sin": "sin(" * 199 + "t" + ")" * 199,
+    "sum": "+".join(["t"] * 987),
+    "product": "*".join(["t"] * 496),
+    "minus": "-" * 987 + "t",
+}
+
+
+@pytest.mark.parametrize("case", list(DEEP_EXPRESSIONS))
+def test_check_refuses_nesting_past_the_depth_bound(tmp_path, capsys, case):
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps({
+        "name": "deep", "n": 3,
+        "psi": ["t", DEEP_EXPRESSIONS[case], "0"],
+        "domain": {"a": [0, 1], "b": [0, 1]},
+    }))
+    assert run_cli("check", bad) == 3
+    assert capsys.readouterr().err.startswith(
+        "parse error: expression nested deeper than 100 levels (offset "
+    )
 
 
 def test_check_validation_failure(tmp_path, capsys):
@@ -503,6 +529,31 @@ def test_canonize_s1_off_centre_base(tmp_path, s1):
         t = DNum.from_null(s_u - s_v - 0.2, s_u + s_v + 0.8)
         want = [c.re for c in s1.psi.eval_unchecked(t)]
         np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12)
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    """main() calls in a row share one parser, and none sees the arguments
+    of another: check after canonize --base has no --out or --base, and
+    canonize after it has the default base again."""
+    calls = []
+    real = argparse.ArgumentParser.parse_args
+
+    def spy(parser, *args, **kwargs):
+        ns = real(parser, *args, **kwargs)
+        calls.append((parser, vars(ns).copy()))
+        return ns
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    spec, out = GALLERY / "s1.json", tmp_path / "c.json"
+    assert run_cli("canonize", spec, "--base", "0.3,0.5", "--grid", "3x3", "--out", out) == 0
+    assert json.loads(out.read_text())["base"] == [0.3, 0.5]
+    assert run_cli("check", spec) == 0
+    assert run_cli("canonize", spec, "--grid", "3x3", "--out", out) == 0
+    (first, _), (second, check_args), (third, canonize_args) = calls
+    assert first is second is third
+    assert set(check_args) == {"process_entry", "command", "spec", "func"}
+    assert canonize_args["base"] is None
+    assert json.loads(out.read_text())["base"] != [0.3, 0.5]
 
 
 def test_missing_file_is_validation_error(tmp_path, capsys):

@@ -86,13 +86,23 @@ def _write_motion(directory, text):
     return path
 
 
+def _deep_spec(text):
+    """check on s1 with its second component replaced by text."""
+    return lambda d: ["check", _write_spec(d, {"psi": ["t", text, "-cos(t)"]})]
+
+
 #: Inputs that the front end refuses, with their exit codes: a bad --grid,
-#: a psi entry that does not parse, a spec that is not a JSON object, a
-#: domain bound or a motion entry that is not a JSON number.
+#: a psi entry that does not parse or nests past sexpr.MAX_DEPTH, a spec
+#: that is not a JSON object, a domain bound or a motion entry that is not
+#: a JSON number.
 FRONT_END_FAILURES = {
     "bad-grid": ("2", lambda d: ["invariants", GALLERY / "s1.json", "--grid", "1x4",
                                  "--out", "OUT/i.csv"]),
     "bad-parse": ("3", lambda d: ["check", _write_spec(d, {"psi": ["t", "sin(t", "-cos(t)"]})]),
+    "deep-sin": ("3", _deep_spec("sin(" * 199 + "t" + ")" * 199)),
+    "deep-sum": ("3", _deep_spec("+".join(["t"] * 987))),
+    "deep-product": ("3", _deep_spec("*".join(["t"] * 496))),
+    "deep-minus": ("3", _deep_spec("-" * 987 + "t")),
     "spec-not-object": ("2", lambda d: ["check", _write_spec(d, [])]),
     "domain-bound-boolean": ("2", lambda d: ["check", _write_spec(
         d, {"domain": {"a": [-2.0, 0.0], "b": [True, 2.0]}})]),

@@ -35,6 +35,27 @@ def test_parse_error_offsets():
         parse("(t+1")
 
 
+def test_depth_bound_admits_its_own_depth():
+    """Each shape nested exactly sexpr.MAX_DEPTH deep parses and one level
+    more is a ParseError; the product, whose second derivative is the
+    deepest (about three times the bound), serializes and evaluates."""
+    d = sexpr.MAX_DEPTH
+    shapes = (
+        lambda k: "sin(" * k + "t" + ")" * k,
+        lambda k: "+".join(["t"] * (k + 1)),
+        lambda k: "*".join(["t"] * (k + 1)),
+        lambda k: "-" * k + "t",
+        lambda k: "(" * k + "t" + ")" * k,
+    )
+    for shape in shapes:
+        parse(shape(d))
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse(shape(d + 1))
+    d2 = diff_t(diff_t(subst_j(parse(shapes[2](d)), 1.0)))
+    assert serialize(d2)
+    assert eval_expr(d2, 1.0) == (d + 1) * d
+
+
 def test_precedence():
     """^ binds tighter than unary minus: -t^2 = -(t^2); * tighter than +."""
     assert eval_expr(parse("-t^2"), 3.0) == -9.0
